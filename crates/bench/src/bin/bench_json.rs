@@ -40,15 +40,16 @@
 //!    comparisons must treat such a block as incomparable rather than
 //!    as a regression.
 //! 7. **Serve plane**: the closed-loop decision-plane bench — a
-//!    multi-link request workload replayed through the sharded
-//!    `mbac-serve` plane, reporting p50/p99/mean decision latency and
+//!    request workload on independent links (`Topology::single_hop`,
+//!    one single-hop route per link, 50 flows each) replayed through
+//!    the sharded `mbac-serve` plane, reporting p50/p99/mean decision latency and
 //!    sustained decisions/sec. The serial reference row always runs;
 //!    the sharded sweep is gated behind multi-core hosts with the same
 //!    `skipped_single_core` marker as the replication scaling block.
 //! 8. **Routed topology plane**: the same closed-loop bench over a
 //!    parking-lot(3) topology — every decision joins three per-hop
 //!    votes through the two-phase reserve/commit — so the cost of
-//!    multi-hop composition relative to the per-link plane is on
+//!    multi-hop composition relative to single-hop decisions is on
 //!    record. Serial row always; shard sweep behind the same
 //!    single-core gate (reusing `MBAC_SERVE_SHARDS`/`MBAC_SERVE_TICKS`).
 //! 9. **Metrics overhead** at 10⁶ flows (`metrics_overhead` block):
@@ -84,13 +85,11 @@ use mbac_core::admission::{AggregateGaussian, CertaintyEquivalent};
 use mbac_core::estimators::heterogeneous::AggregateEstimate;
 use mbac_core::estimators::snapshot_stats;
 use mbac_core::params::{FlowStats, QosTarget};
+use mbac_core::topology::Topology;
 use mbac_metrics::{StreamConfig, StreamSink};
 use mbac_num::rng::NormalSampler;
 use mbac_num::KernelDispatch;
-use mbac_serve::{
-    closed_loop_with_parallelism, routed_closed_loop_with_parallelism,
-    BenchConfig as ServeBenchConfig, BenchReport, RoutedBenchConfig,
-};
+use mbac_serve::{routed_closed_loop_with_parallelism, BenchReport, RoutedBenchConfig};
 use mbac_sim::{
     ContinuousConfig, ContinuousLoad, Engine, FlowTable, ImpulsiveConfig, ImpulsiveLoad,
     MbacController, MetricsMode, ReferenceFlowTable, SessionBuilder,
@@ -101,6 +100,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const TICK: f64 = 0.25;
@@ -1072,13 +1072,14 @@ fn main() {
     let _ = writeln!(json, "    ]");
     let _ = writeln!(json, "  }},");
 
-    // 7. Serve plane: closed-loop decision latency and throughput. The
-    // serial reference row always runs. The sharded sweep is gated the
-    // same way as replication scaling: on a single-core host threaded
-    // rows would measure scheduler churn, so they are skipped and the
-    // block carries the `skipped_single_core` marker
-    // (`closed_loop_with_parallelism` re-checks the parallelism it is
-    // given, so a gated host can never fake a threaded row).
+    // 7. Serve plane: closed-loop decision latency and throughput on
+    // independent links (one single-hop route per link). The serial
+    // reference row always runs. The sharded sweep is gated the same way
+    // as replication scaling: on a single-core host threaded rows would
+    // measure scheduler churn, so they are skipped and the block carries
+    // the `skipped_single_core` marker
+    // (`routed_closed_loop_with_parallelism` re-checks the parallelism
+    // it is given, so a gated host can never fake a threaded row).
     let serve_shard_counts: Vec<usize> = match std::env::var("MBAC_SERVE_SHARDS") {
         Ok(s) => s
             .split(',')
@@ -1091,39 +1092,42 @@ fn main() {
         Err(_) => vec![2, 4],
     };
     assert!(serve_shard_counts.iter().all(|&s| s > 0));
-    let serve_base = ServeBenchConfig {
-        links: env_usize("MBAC_SERVE_LINKS", 32),
+    let serve_links = env_usize("MBAC_SERVE_LINKS", 32);
+    let serve_base = RoutedBenchConfig {
+        topology: Arc::new(Topology::single_hop(serve_links, 60.0)),
+        flows_per_route: 50,
         ticks: env_usize("MBAC_SERVE_TICKS", 200),
-        ..ServeBenchConfig::default()
+        ..RoutedBenchConfig::default()
     };
     let serve_model = mbac_bench::bench_rcbr();
     let serve_skipped = single_core && !serve_shard_counts.is_empty();
     if serve_skipped {
         eprintln!("serve: single-core machine, skipping shard counts {serve_shard_counts:?}");
     }
-    let mut serve_rows = vec![
-        closed_loop_with_parallelism(&serve_base, &serve_model, parallelism)
-            .expect("valid serve config"),
-    ];
+    let mut serve_rows =
+        vec![
+            routed_closed_loop_with_parallelism(&serve_base, &serve_model, parallelism)
+                .expect("valid serve config"),
+        ];
     if !single_core {
         for &shards in &serve_shard_counts {
-            let cfg = ServeBenchConfig {
+            let cfg = RoutedBenchConfig {
                 shards,
                 producers: 2,
                 ..serve_base.clone()
             };
             serve_rows.push(
-                closed_loop_with_parallelism(&cfg, &serve_model, parallelism)
+                routed_closed_loop_with_parallelism(&cfg, &serve_model, parallelism)
                     .expect("valid serve config"),
             );
         }
     }
     let _ = writeln!(json, "  \"serve\": {{");
-    let _ = writeln!(json, "    \"links\": {},", serve_base.links);
+    let _ = writeln!(json, "    \"links\": {serve_links},");
     let _ = writeln!(
         json,
         "    \"flows_per_link\": {},",
-        serve_base.flows_per_link
+        serve_base.flows_per_route
     );
     let _ = writeln!(json, "    \"ticks\": {},", serve_base.ticks);
     let _ = writeln!(

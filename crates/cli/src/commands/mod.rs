@@ -8,7 +8,7 @@ pub mod theory;
 pub mod trace;
 
 use crate::args::{ArgError, Args};
-use mbac_core::topology::Topology;
+use mbac_core::topology::{LinkId, Topology};
 use mbac_metrics::{StreamConfig, StreamSink};
 
 /// Opens the streaming JSONL sink implied by `--metrics-stream` (with
@@ -58,28 +58,43 @@ pub(crate) fn finish_stream(args: &Args, sink: Option<StreamSink>) -> Result<(),
 }
 
 /// Parses a `--topology` spec into a [`Topology`] with every link at
-/// `capacity`. Accepted forms: `single`, `parking-lot:<hops>`,
-/// `star:<legs>` (parking-lot needs >= 2 hops, star >= 2 legs).
+/// `capacity`. Accepted forms: `single[:<links>]` (independent
+/// single-hop links, 1 by default), `parking-lot:<hops>` and
+/// `star:<legs>` (both need >= 2). A capacity or route length that a
+/// topology rejects is an invalid configuration, not a panic.
 pub(crate) fn parse_topology(spec: &str, capacity: f64) -> Result<Topology, ArgError> {
     let bad = |why: &str| ArgError(format!("--topology '{spec}': {why}"));
-    let size = |raw: &str, what: &str| -> Result<usize, ArgError> {
+    let size = |raw: &str, what: &str, min: usize| -> Result<usize, ArgError> {
         let n: usize = raw
             .parse()
             .map_err(|_| bad(&format!("{what} must be an integer, got '{raw}'")))?;
-        if n < 2 {
-            return Err(bad(&format!("{what} must be >= 2")));
+        if n < min {
+            return Err(bad(&format!("{what} must be >= {min}")));
         }
         Ok(n)
     };
-    match spec.split_once(':') {
-        None => match spec {
-            "single" => Ok(Topology::single_link(capacity)),
-            _ => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
-        },
-        Some(("parking-lot", raw)) => Ok(Topology::parking_lot(size(raw, "hops")?, capacity)),
-        Some(("star", raw)) => Ok(Topology::star(size(raw, "legs")?, capacity)),
-        Some(_) => Err(bad("expected single, parking-lot:<hops>, or star:<legs>")),
-    }
+    // (size, longest route, constructor)
+    let (n, longest, build): (usize, usize, fn(usize, f64) -> Topology) = match spec.split_once(':')
+    {
+        None if spec == "single" => (1, 1, Topology::single_hop),
+        Some(("single", raw)) => (size(raw, "links", 1)?, 1, Topology::single_hop),
+        Some(("parking-lot", raw)) => {
+            let hops = size(raw, "hops", 2)?;
+            (hops, hops, Topology::parking_lot)
+        }
+        Some(("star", raw)) => (size(raw, "legs", 2)?, 2, Topology::star),
+        _ => {
+            return Err(bad(
+                "expected single[:<links>], parking-lot:<hops>, or star:<legs>",
+            ))
+        }
+    };
+    // The shape constructors panic on what `Topology::validate` rejects;
+    // validate the shape's longest route at this capacity first.
+    let longest_route = vec![(0..longest as u32).map(LinkId).collect()];
+    Topology::new(vec![capacity; longest], longest_route)
+        .map_err(|e| ArgError(format!("invalid configuration: {e}")))?;
+    Ok(build(n, capacity))
 }
 
 #[cfg(test)]
@@ -89,8 +104,10 @@ mod tests {
     #[test]
     fn parses_the_three_shapes() {
         let t = parse_topology("single", 8.0).unwrap();
-        assert_eq!(t.links(), 1);
-        assert_eq!(t.routes(), 1);
+        assert_eq!(t, Topology::single_link(8.0));
+        assert_eq!(parse_topology("single:1", 8.0).unwrap(), t);
+        let t = parse_topology("single:5", 8.0).unwrap();
+        assert_eq!(t, Topology::single_hop(5, 8.0));
         let t = parse_topology("parking-lot:3", 10.0).unwrap();
         assert_eq!(t.links(), 3);
         assert_eq!(t.routes(), 4);
@@ -108,8 +125,24 @@ mod tests {
             "parking-lot:1",
             "star:0",
             "mesh:3",
+            "single:0",
+            "single:",
         ] {
             assert!(parse_topology(spec, 8.0).is_err(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn rejects_what_a_topology_rejects() {
+        assert!(parse_topology("parking-lot:255", 8.0).is_ok());
+        let err = parse_topology("parking-lot:256", 8.0).unwrap_err();
+        assert_eq!(
+            err.0,
+            "invalid configuration: route0 has 256 hops, more than 255"
+        );
+        for spec in ["single:3", "parking-lot:3", "star:3"] {
+            let err = parse_topology(spec, -1.0).unwrap_err();
+            assert!(err.0.starts_with("invalid configuration: "), "{spec}");
         }
     }
 }

@@ -1,10 +1,11 @@
 //! `mbacctl serve-bench` — the closed-loop decision-plane benchmark.
 //!
-//! Generates a multi-link request workload through the Session
+//! Generates a request workload over a topology through the Session
 //! pipeline, replays it through the sharded [`mbac_serve`] decision
 //! plane, and reports decision latency percentiles plus sustained
-//! throughput. Invalid configurations surface as friendly messages
-//! (exit code 1), never as panics.
+//! throughput. Independent links are the `single:<n>` topology (one
+//! single-hop route per link). Invalid configurations surface as
+//! friendly messages (exit code 1), never as panics.
 //!
 //! The printed report keeps the *deterministic* decision totals in a
 //! separate block from the *timing* figures, so byte-comparing the
@@ -16,8 +17,7 @@ use super::{finish_stream, open_stream};
 use crate::args::{ArgError, Args};
 use mbac_num::KernelDispatch;
 use mbac_serve::{
-    closed_loop_with_parallelism, host_parallelism, routed_closed_loop_with_parallelism,
-    BenchConfig, BenchReport, RoutedBenchConfig,
+    host_parallelism, routed_closed_loop_with_parallelism, BenchReport, RoutedBenchConfig,
 };
 use mbac_sim::Engine;
 use mbac_traffic::ar1::{Ar1Config, Ar1Model};
@@ -28,13 +28,12 @@ use std::sync::Arc;
 
 /// Usage text.
 pub const USAGE: &str = "\
-mbacctl serve-bench [--links <n>] [--flows-per-link <n>] [--ticks <n>]
-                    [--tick <dt>] [--requests-per-tick <n>]
-                    [--holding <T_h>] [--capacity <c>] [--seed <s>]
+mbacctl serve-bench [--topology single[:<n>]|parking-lot:<h>|star:<l>]
+                    [--flows-per-route <n>] [--ticks <n>] [--tick <dt>]
+                    [--requests-per-tick <n>] [--holding <T_h>]
+                    [--capacity <c>] [--noise-sd <sigma>] [--seed <s>]
                     [--shards <n>] [--producers <n>] [--ring-capacity <n>]
                     [--p-ce <p>] [--t-m <T_m>]
-                    [--topology single|parking-lot:<h>|star:<l>]
-                    [--flows-per-route <n>] [--noise-sd <sigma>]
                     [--source rcbr|ar1 | --trace <file>]
                     [--mean <mu> --sd <sigma> --t-c <T_c>]
                     [--engine batched|boxed] [--kernel-dispatch scalar|wide]
@@ -47,18 +46,19 @@ into the sharded serve plane, and the report summarizes the admission
 decisions (deterministic for a fixed seed and shape, whatever the
 shard/producer/engine/dispatch choice) plus p50/p99/mean decision
 latency and sustained decisions/sec.
+--topology picks the network (default parking-lot:3). A request
+carries a route and is admitted only if *every* hop accepts
+(two-phase reserve/commit across shards); single:<n> is n independent
+links, each with its own single-hop route (bare single = single:1).
+Every link gets --capacity (default 60); --flows-per-route sizes the
+steady workload per route (default 25) and --noise-sd adds per-node
+measurement noise.
 --shards/--producers pick the plane shape; on a single-core host a
 threaded shape falls back to the serial reference and says so.
 --ring-capacity bounds each shard's ingest ring (the closed loop's
 outstanding-event window). --source picks the flow model (rcbr
 default, or ar1); --trace replays an LRD trace file instead and
 cannot be combined with --mean/--sd/--t-c.
---topology switches to the routed multi-hop bench: requests carry a
-route and are admitted only if *every* hop accepts (two-phase
-reserve/commit across shards). Every link gets --capacity;
---flows-per-route sizes the steady workload per route and --noise-sd
-adds per-node measurement noise. --topology replaces --links and
---flows-per-link.
 --metrics-stream emits bounded-memory streaming metrics as
 mbac-metrics/v2-stream JSONL: per-decision samples (--stream-sample,
 default 0) plus cumulative per-shard interval snapshots every
@@ -109,8 +109,6 @@ fn build_model(args: &Args) -> Result<Box<dyn SourceModel>, ArgError> {
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<(), ArgError> {
     args.expect_only(&[
-        "links",
-        "flows-per-link",
         "ticks",
         "tick",
         "requests-per-tick",
@@ -160,89 +158,47 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     }
     let model = build_model(args)?;
 
-    if let Some(spec) = args.get("topology") {
-        for link_flag in ["links", "flows-per-link"] {
-            if args.get(link_flag).is_some() {
-                return Err(ArgError(format!(
-                    "--topology and --{link_flag} are mutually exclusive: the \
-                     topology fixes the link set (use --flows-per-route)"
-                )));
-            }
-        }
-        let d = RoutedBenchConfig::default();
-        let capacity = args.f64_or("capacity", 60.0)?;
-        let noise_sd = args.f64_or("noise-sd", d.noise_sd)?;
-        if noise_sd < 0.0 {
-            return Err(ArgError("--noise-sd must be >= 0".into()));
-        }
-        let topology = Arc::new(super::parse_topology(spec, capacity)?);
-        let banner = format!(
-            "serve bench (routed): topology = {spec}, links = {}, routes = {}",
-            topology.links(),
-            topology.routes()
-        );
-        let stream = open_stream(args)?;
-        let cfg = RoutedBenchConfig {
-            topology,
-            flows_per_route: args.u64_or("flows-per-route", d.flows_per_route as u64)? as usize,
-            ticks: args.u64_or("ticks", d.ticks as u64)? as usize,
-            tick: args.f64_or("tick", d.tick)?,
-            requests_per_tick: args.u64_or("requests-per-tick", d.requests_per_tick as u64)?
-                as usize,
-            mean_holding: args.f64_or("holding", d.mean_holding)?,
-            noise_sd,
-            seed: args.u64_or("seed", d.seed)?,
-            engine,
-            shards: args.u64_or("shards", 1)? as usize,
-            producers: args.u64_or("producers", 1)? as usize,
-            ring_capacity: args.u64_or("ring-capacity", d.ring_capacity as u64)? as usize,
-            p_ce: args.prob_or("p-ce", d.p_ce)?,
-            t_m: args.f64_or("t-m", d.t_m)?,
-            stream: stream.as_ref().map(|s| s.handle()),
-        };
-        let report = routed_closed_loop_with_parallelism(&cfg, model.as_ref(), host_parallelism())
-            .map_err(config_err)?;
-        println!("{banner}");
-        print_report(&report, engine);
-        finish_stream(args, stream)?;
-        return Ok(());
+    let d = RoutedBenchConfig::default();
+    let capacity = args.f64_or("capacity", 60.0)?;
+    let noise_sd = args.f64_or("noise-sd", d.noise_sd)?;
+    if noise_sd < 0.0 {
+        return Err(ArgError("--noise-sd must be >= 0".into()));
     }
-
-    let d = BenchConfig::default();
-    if args.get("flows-per-route").is_some() || args.get("noise-sd").is_some() {
-        return Err(ArgError(
-            "--flows-per-route/--noise-sd require --topology".into(),
-        ));
-    }
+    let spec = args.get("topology").unwrap_or("parking-lot:3");
+    let topology = Arc::new(super::parse_topology(spec, capacity)?);
+    let banner = format!(
+        "serve bench: topology = {spec}, links = {}, routes = {}",
+        topology.links(),
+        topology.routes()
+    );
     let stream = open_stream(args)?;
-    let cfg = BenchConfig {
-        links: args.u64_or("links", d.links as u64)? as usize,
-        flows_per_link: args.u64_or("flows-per-link", d.flows_per_link as u64)? as usize,
+    let cfg = RoutedBenchConfig {
+        topology,
+        flows_per_route: args.u64_or("flows-per-route", d.flows_per_route as u64)? as usize,
         ticks: args.u64_or("ticks", d.ticks as u64)? as usize,
         tick: args.f64_or("tick", d.tick)?,
         requests_per_tick: args.u64_or("requests-per-tick", d.requests_per_tick as u64)? as usize,
         mean_holding: args.f64_or("holding", d.mean_holding)?,
+        noise_sd,
         seed: args.u64_or("seed", d.seed)?,
         engine,
         shards: args.u64_or("shards", 1)? as usize,
         producers: args.u64_or("producers", 1)? as usize,
         ring_capacity: args.u64_or("ring-capacity", d.ring_capacity as u64)? as usize,
-        capacity: args.f64_or("capacity", d.capacity)?,
         p_ce: args.prob_or("p-ce", d.p_ce)?,
         t_m: args.f64_or("t-m", d.t_m)?,
         stream: stream.as_ref().map(|s| s.handle()),
     };
-    let report = closed_loop_with_parallelism(&cfg, model.as_ref(), host_parallelism())
+    let report = routed_closed_loop_with_parallelism(&cfg, model.as_ref(), host_parallelism())
         .map_err(config_err)?;
-    println!("serve bench: links = {}", cfg.links);
+    println!("{banner}");
     print_report(&report, engine);
     finish_stream(args, stream)?;
     Ok(())
 }
 
-/// Prints the shape/decisions/timing blocks shared by the per-link and
-/// routed benches, keeping the deterministic block separate from the
-/// wall-clock one.
+/// Prints the shape/decisions/timing blocks, keeping the deterministic
+/// block separate from the wall-clock one.
 fn print_report(report: &BenchReport, engine: Engine) {
     println!(
         "  shards = {}, producers = {}, engine = {engine}, mode = {}",

@@ -453,9 +453,9 @@ fn simulate_rejects_trace_with_rcbr_flags() {
 fn small_serve_args<'a>(extra: &[&'a str]) -> Vec<&'a str> {
     let mut args = vec![
         "serve-bench",
-        "--links",
-        "3",
-        "--flows-per-link",
+        "--topology",
+        "single:3",
+        "--flows-per-route",
         "6",
         "--ticks",
         "8",
@@ -496,9 +496,14 @@ fn serve_bench_small_run_reports_decisions_and_timing() {
 
 #[test]
 fn serve_bench_unknown_flag_is_reported() {
-    let out = mbacctl(&small_serve_args(&["--oops", "1"]));
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --oops"));
+    // `--links`/`--flows-per-link` are gone: `--topology single:<n>`
+    // and `--flows-per-route` spell the same workload.
+    for flag in ["--oops", "--links", "--flows-per-link"] {
+        let out = mbacctl(&small_serve_args(&[flag, "1"]));
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 }
 
 #[test]
@@ -513,12 +518,55 @@ fn serve_bench_rejects_zero_shards_without_panicking() {
 
 #[test]
 fn serve_bench_rejects_zero_links_without_panicking() {
-    let out = mbacctl(&["serve-bench", "--links", "0"]);
+    let out = mbacctl(&["serve-bench", "--topology", "single:0"]);
     assert!(!out.status.success());
     assert_eq!(out.status.code(), Some(1), "clean exit, not a panic");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid configuration"), "{err}");
+    assert!(err.contains("--topology 'single:0'"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+/// Hop positions are one byte: a 256-hop route is an invalid
+/// configuration, not an index panic inside the plane.
+#[test]
+fn serve_bench_rejects_256_hop_routes_without_panicking() {
+    let out = mbacctl(&[
+        "serve-bench",
+        "--topology",
+        "parking-lot:256",
+        "--flows-per-route",
+        "3",
+        "--ticks",
+        "3",
+        "--requests-per-tick",
+        "1",
+        "--capacity",
+        "8",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "clean exit, not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid configuration"), "{err}");
+    assert!(err.contains("256 hops"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+/// Without flags the bench runs `RoutedBenchConfig::default()`:
+/// parking-lot(3), 25 flows per route.
+#[test]
+fn serve_bench_defaults_to_parking_lot() {
+    let out = mbacctl(&["serve-bench", "--ticks", "5"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("serve bench: topology = parking-lot:3, links = 3, routes = 4"),
+        "{text}"
+    );
+    // 4 routes x 5 ticks x 4 requests = 80 decisions.
+    assert!(text.contains("total                : 80"), "{text}");
 }
 
 #[test]
@@ -730,18 +778,11 @@ fn serve_bench_topology_reports_routed_decisions() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("serve bench (routed): topology = parking-lot:2"),
+        text.contains("serve bench: topology = parking-lot:2"),
         "{text}"
     );
     // 3 routes x 8 ticks x 2 requests = 48 decisions.
     assert!(text.contains("total                : 48"), "{text}");
-}
-
-#[test]
-fn serve_bench_topology_rejects_link_flags() {
-    let out = mbacctl(&["serve-bench", "--topology", "star:2", "--links", "3"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("mutually exclusive"));
 }
 
 #[test]
@@ -807,9 +848,9 @@ fn serve_bench_metrics_stream_writes_v2_jsonl() {
     let path = dir.join("serve_stream.jsonl");
     let out = mbacctl(&[
         "serve-bench",
-        "--links",
-        "2",
-        "--flows-per-link",
+        "--topology",
+        "single:2",
+        "--flows-per-route",
         "4",
         "--ticks",
         "8",

@@ -77,6 +77,12 @@ impl fmt::Display for RouteId {
 // Errors
 // ---------------------------------------------------------------------
 
+/// The longest route a [`Topology`] accepts. Hop positions travel as
+/// `u8` (the decision plane's reserve events and reject-hop records),
+/// and the routed decision encoding reserves byte `0xFF` for
+/// "admitted", so a valid hop index is at most 254.
+pub const MAX_ROUTE_HOPS: usize = 255;
+
 /// A rejected topology description.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -112,6 +118,14 @@ pub enum TopologyError {
         /// The repeated link id.
         link: LinkId,
     },
+    /// A route had more than [`MAX_ROUTE_HOPS`] hops: hop positions are
+    /// stored and encoded as one byte.
+    TooManyHops {
+        /// The offending route.
+        route: RouteId,
+        /// The rejected hop count.
+        hops: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -128,6 +142,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::DuplicateHop { route, link } => {
                 write!(f, "{route} visits {link} more than once")
+            }
+            TopologyError::TooManyHops { route, hops } => {
+                write!(f, "{route} has {hops} hops, more than {MAX_ROUTE_HOPS}")
             }
         }
     }
@@ -159,12 +176,20 @@ impl Topology {
         Ok(topo)
     }
 
-    /// The one-link convenience: a single link of `capacity` with one
-    /// single-hop route — the exact shape every pre-topology layer
-    /// assumed. Panics if `capacity` is not strictly positive.
+    /// `links` independent links of `capacity`, route `i` = `[link i]`:
+    /// the per-link admission shape of the paper's controller, where
+    /// every request crosses exactly one link. Panics if `links` is
+    /// zero or `capacity` is not strictly positive.
+    pub fn single_hop(links: usize, capacity: f64) -> Self {
+        assert!(links > 0, "single_hop: need at least one link");
+        let routes = (0..links).map(|i| vec![LinkId(i as u32)]).collect();
+        Topology::new(vec![capacity; links], routes).expect("single_hop: capacity must be positive")
+    }
+
+    /// The one-link convenience: [`Topology::single_hop`] with one
+    /// link. Panics if `capacity` is not strictly positive.
     pub fn single_link(capacity: f64) -> Self {
-        Topology::new(vec![capacity], vec![vec![LinkId(0)]])
-            .expect("single_link: capacity must be positive")
+        Topology::single_hop(1, capacity)
     }
 
     /// The parking-lot topology: `hops` links in a row, one long route
@@ -211,6 +236,12 @@ impl Topology {
             let route = RouteId(r as u32);
             if hops.is_empty() {
                 return Err(TopologyError::EmptyRoute { route });
+            }
+            if hops.len() > MAX_ROUTE_HOPS {
+                return Err(TopologyError::TooManyHops {
+                    route,
+                    hops: hops.len(),
+                });
             }
             for (k, &link) in hops.iter().enumerate() {
                 if link.index() >= self.capacities.len() {
@@ -272,8 +303,8 @@ impl Topology {
         self.route(route).iter().position(|&l| l == link)
     }
 
-    /// Whether every route has exactly one hop (the degenerate
-    /// single-link-per-route case the legacy layers model).
+    /// Whether every route has exactly one hop (the
+    /// [`Topology::single_hop`] shape).
     pub fn is_single_hop(&self) -> bool {
         self.routes.iter().all(|hops| hops.len() == 1)
     }
@@ -448,6 +479,16 @@ mod tests {
         assert_eq!(single.routes(), 1);
         assert!(single.is_single_hop());
         assert_eq!(single.route(RouteId(0)), &[LinkId(0)]);
+        assert_eq!(single, Topology::single_hop(1, 10.0));
+
+        let many = Topology::single_hop(5, 8.0);
+        assert_eq!(many.links(), 5);
+        assert_eq!(many.routes(), 5);
+        assert!(many.is_single_hop());
+        for (route, link) in many.route_ids().zip(many.link_ids()) {
+            assert_eq!(many.route(route), &[link]);
+            assert_eq!(many.routes_crossing(link).collect::<Vec<_>>(), vec![route]);
+        }
 
         let pl = Topology::parking_lot(3, 8.0);
         assert_eq!(pl.links(), 3);
@@ -508,6 +549,24 @@ mod tests {
                 link: LinkId(1)
             }
         );
+    }
+
+    /// Hop positions are one byte: 255 hops is the longest valid route,
+    /// and 256 is a typed error rather than a wrapped index.
+    #[test]
+    fn validation_rejects_routes_longer_than_255_hops() {
+        let path = |hops: usize| (0..hops as u32).map(LinkId).collect::<Vec<_>>();
+        let longest = Topology::new(vec![1.0; 255], vec![path(255)]).unwrap();
+        assert_eq!(longest.route(RouteId(0)).len(), MAX_ROUTE_HOPS);
+        let err = Topology::new(vec![1.0; 256], vec![path(1), path(256)]).unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::TooManyHops {
+                route: RouteId(1),
+                hops: 256
+            }
+        );
+        assert_eq!(err.to_string(), "route1 has 256 hops, more than 255");
     }
 
     #[test]

@@ -11,84 +11,21 @@
 //! producers, consumers, and the generator all time-share one CPU, so a
 //! multi-shard run measures scheduler churn, not the plane. Mirroring
 //! the `replication_scaling` gate in `bench_json`,
-//! [`closed_loop_with_parallelism`] falls back to the serial reference
-//! and sets [`BenchReport::skipped_single_core`] when the injected
-//! parallelism is 1 and a threaded shape was requested — the recorded
-//! numbers are then honest serial-path figures, marked as such.
+//! [`routed_closed_loop_with_parallelism`] falls back to the serial
+//! reference and sets [`BenchReport::skipped_single_core`] when the
+//! injected parallelism is 1 and a threaded shape was requested — the
+//! recorded numbers are then honest serial-path figures, marked as such.
 
-use crate::plane::{certainty_equivalent_factory, PlaneConfig, ServeError};
-use crate::replay::{replay_serial, replay_threaded, ReplayConfig};
+use crate::plane::{certainty_equivalent_factory, ServeError};
 use crate::routed::{
     routed_replay_serial, routed_replay_threaded, RoutedPlaneConfig, RoutedReplayConfig,
 };
 use mbac_core::topology::Topology;
 use mbac_metrics::StreamHandle;
 use mbac_num::quantile;
-use mbac_sim::{
-    ConfigError, Engine, MetricsMode, RequestLoad, RequestLoadConfig, RoutedLoad, RoutedLoadConfig,
-    SessionBuilder,
-};
+use mbac_sim::{ConfigError, Engine, MetricsMode, RoutedLoad, RoutedLoadConfig, SessionBuilder};
 use mbac_traffic::process::SourceModel;
 use std::sync::Arc;
-
-/// Closed-loop bench configuration: workload shape plus plane shape.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Links (one request stream per link).
-    pub links: usize,
-    /// Steady-state flows per link in the generated workload.
-    pub flows_per_link: usize,
-    /// Measurement ticks per link.
-    pub ticks: usize,
-    /// Measurement period.
-    pub tick: f64,
-    /// Admission requests after each measurement.
-    pub requests_per_tick: usize,
-    /// Mean holding time of the churned workload flows.
-    pub mean_holding: f64,
-    /// Workload generation seed.
-    pub seed: u64,
-    /// Flow engine generating the workload.
-    pub engine: Engine,
-    /// Decision-plane shards.
-    pub shards: usize,
-    /// Producer threads feeding the rings.
-    pub producers: usize,
-    /// Per-shard ingest-ring capacity (the outstanding-event window).
-    pub ring_capacity: usize,
-    /// Per-link capacity the controllers decide against.
-    pub capacity: f64,
-    /// Certainty-equivalent target probability.
-    pub p_ce: f64,
-    /// Estimator memory time-scale.
-    pub t_m: f64,
-    /// Streaming-emission handle passed through to the plane. When set,
-    /// per-shard metrics collection is enabled (without timing) so the
-    /// stream's interval records carry the decision counters.
-    pub stream: Option<StreamHandle>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            links: 32,
-            flows_per_link: 50,
-            ticks: 200,
-            tick: 0.1,
-            requests_per_tick: 4,
-            mean_holding: 10.0,
-            seed: 7,
-            engine: Engine::Batched,
-            shards: 1,
-            producers: 1,
-            ring_capacity: 1024,
-            capacity: 60.0,
-            p_ce: 1e-2,
-            t_m: 5.0,
-            stream: None,
-        }
-    }
-}
 
 /// What went wrong setting up or running a bench.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,102 +103,10 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs the closed-loop bench: generates the workload through the
-/// Session pipeline, replays it through the plane, and summarizes
-/// latency/throughput. The host's parallelism is injected (pass
-/// [`host_parallelism()`] for the real machine; tests force both the
-/// gated and ungated paths regardless of the actual host).
-pub fn closed_loop_with_parallelism(
-    cfg: &BenchConfig,
-    model: &dyn SourceModel,
-    parallelism: usize,
-) -> Result<BenchReport, BenchError> {
-    if cfg.shards == 0 {
-        return Err(ServeError::ZeroShards.into());
-    }
-    if cfg.producers == 0 {
-        return Err(ServeError::ZeroProducers.into());
-    }
-    let load = RequestLoad {
-        model,
-        cfg: RequestLoadConfig {
-            links: cfg.links,
-            flows_per_link: cfg.flows_per_link,
-            ticks: cfg.ticks,
-            tick: cfg.tick,
-            requests_per_tick: cfg.requests_per_tick,
-            mean_holding: cfg.mean_holding,
-            seed: cfg.seed,
-        },
-    };
-    let workload = SessionBuilder::new().engine(cfg.engine).run(&load)?;
-
-    let threaded_requested = cfg.shards > 1 || cfg.producers > 1;
-    let single_core = parallelism == 1;
-    let skipped_single_core = threaded_requested && single_core;
-    let run_threaded = threaded_requested && !single_core;
-
-    let replay_cfg = ReplayConfig {
-        plane: PlaneConfig {
-            shards: if run_threaded { cfg.shards } else { 1 },
-            capacity: cfg.capacity,
-            ring_capacity: cfg.ring_capacity,
-            metrics: if cfg.stream.is_some() {
-                MetricsMode::Streaming
-            } else {
-                MetricsMode::Disabled
-            },
-            stream: cfg.stream.clone(),
-        },
-        producers: if run_threaded { cfg.producers } else { 1 },
-        stamp_latency: true,
-    };
-    let make = certainty_equivalent_factory(cfg.p_ce, cfg.t_m);
-    let outcome = if run_threaded {
-        replay_threaded(&replay_cfg, make, &workload)?
-    } else {
-        replay_serial(&replay_cfg, make, &workload)?
-    };
-
-    let latencies: Vec<f64> = outcome.latencies_ns().iter().map(|&ns| ns as f64).collect();
-    let (p50_ns, p99_ns, mean_ns) = if latencies.is_empty() {
-        (0.0, 0.0, 0.0)
-    } else {
-        (
-            quantile(&latencies, 0.5),
-            quantile(&latencies, 0.99),
-            latencies.iter().sum::<f64>() / latencies.len() as f64,
-        )
-    };
-    let elapsed_secs = outcome.elapsed.as_secs_f64();
-    Ok(BenchReport {
-        mode: if run_threaded { "threaded" } else { "serial" },
-        shards: replay_cfg.plane.shards,
-        producers: replay_cfg.producers,
-        decisions: outcome.decisions,
-        admitted: outcome.admitted,
-        rejected: outcome.rejected(),
-        events: workload.total_events() as u64,
-        elapsed_secs,
-        decisions_per_sec: if elapsed_secs > 0.0 {
-            outcome.decisions as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        p50_ns,
-        p99_ns,
-        mean_ns,
-        available_parallelism: parallelism,
-        skipped_single_core,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Routed (topology-shaped) bench
-// ---------------------------------------------------------------------
-
-/// Closed-loop bench over a routed [`Topology`] workload: multi-hop
-/// requests joined by the two-phase reserve/commit of [`crate::routed`].
+/// Closed-loop bench configuration: the workload over a [`Topology`]
+/// plus the plane shape. Requests are joined across their hops by the
+/// two-phase reserve/commit of [`crate::routed`]; a
+/// [`Topology::single_hop`] network benchmarks independent links.
 #[derive(Debug, Clone)]
 pub struct RoutedBenchConfig {
     /// The network shape (links, capacities, routes).
@@ -320,19 +165,13 @@ impl Default for RoutedBenchConfig {
     }
 }
 
-/// Runs the routed closed-loop bench; detects host parallelism itself —
-/// see [`routed_closed_loop_with_parallelism`] for the testable core.
-pub fn routed_closed_loop(
-    cfg: &RoutedBenchConfig,
-    model: &dyn SourceModel,
-) -> Result<BenchReport, BenchError> {
-    routed_closed_loop_with_parallelism(cfg, model, host_parallelism())
-}
-
-/// [`routed_closed_loop`] with the host parallelism injected. Mirrors
-/// [`closed_loop_with_parallelism`]: a threaded shape on a single-core
-/// host falls back to the serial reference and sets
-/// [`BenchReport::skipped_single_core`].
+/// Runs the closed-loop bench: generates the workload through the
+/// Session pipeline, replays it through the plane, and summarizes
+/// latency/throughput. The host's parallelism is injected (pass
+/// [`host_parallelism()`] for the real machine; tests force both the
+/// gated and ungated paths regardless of the actual host). A threaded
+/// shape on a single-core host falls back to the serial reference and
+/// sets [`BenchReport::skipped_single_core`].
 pub fn routed_closed_loop_with_parallelism(
     cfg: &RoutedBenchConfig,
     model: &dyn SourceModel,
@@ -423,61 +262,8 @@ mod tests {
     use super::*;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
-    fn small() -> BenchConfig {
-        BenchConfig {
-            links: 3,
-            flows_per_link: 5,
-            ticks: 10,
-            requests_per_tick: 2,
-            capacity: 6.0,
-            ..BenchConfig::default()
-        }
-    }
-
     fn model() -> RcbrModel {
         RcbrModel::new(RcbrConfig::paper_default(1.0))
-    }
-
-    #[test]
-    fn serial_bench_reports_consistent_totals() {
-        let report = closed_loop_with_parallelism(&small(), &model(), 1).unwrap();
-        assert_eq!(report.mode, "serial");
-        assert!(!report.skipped_single_core, "serial shape skips nothing");
-        assert_eq!(report.decisions, 3 * 10 * 2);
-        assert_eq!(report.admitted + report.rejected, report.decisions);
-        assert_eq!(report.events, 3 * 10 * 3);
-        assert!(report.decisions_per_sec > 0.0);
-        assert!(report.p50_ns <= report.p99_ns);
-        assert!(report.p99_ns > 0.0);
-    }
-
-    #[test]
-    fn single_core_gate_falls_back_to_serial_with_marker() {
-        let cfg = BenchConfig {
-            shards: 4,
-            producers: 2,
-            ..small()
-        };
-        let report = closed_loop_with_parallelism(&cfg, &model(), 1).unwrap();
-        assert!(report.skipped_single_core);
-        assert_eq!(report.mode, "serial");
-        assert_eq!(report.shards, 1, "fallback must not fake a sharded run");
-        assert_eq!(report.producers, 1);
-        assert_eq!(report.available_parallelism, 1);
-    }
-
-    #[test]
-    fn multi_core_runs_threaded_without_marker() {
-        let cfg = BenchConfig {
-            shards: 2,
-            producers: 2,
-            ..small()
-        };
-        let report = closed_loop_with_parallelism(&cfg, &model(), 4).unwrap();
-        assert!(!report.skipped_single_core);
-        assert_eq!(report.mode, "threaded");
-        assert_eq!(report.shards, 2);
-        assert_eq!(report.decisions, 3 * 10 * 2);
     }
 
     fn small_routed() -> RoutedBenchConfig {
@@ -494,10 +280,15 @@ mod tests {
     fn routed_serial_bench_reports_consistent_totals() {
         let report = routed_closed_loop_with_parallelism(&small_routed(), &model(), 1).unwrap();
         assert_eq!(report.mode, "serial");
+        assert!(!report.skipped_single_core, "serial shape skips nothing");
         // 4 routes (the long path + 3 cross routes) × 10 ticks × 2.
         assert_eq!(report.decisions, 4 * 10 * 2);
         assert_eq!(report.admitted + report.rejected, report.decisions);
+        // Per tick: 3 measures, plus 2 requests on 3 + 1 + 1 + 1 hops.
+        assert_eq!(report.events, 10 * (3 + 2 * 6));
+        assert!(report.decisions_per_sec > 0.0);
         assert!(report.p50_ns <= report.p99_ns);
+        assert!(report.p99_ns > 0.0);
     }
 
     #[test]
@@ -510,31 +301,34 @@ mod tests {
         let report = routed_closed_loop_with_parallelism(&cfg, &model(), 1).unwrap();
         assert!(report.skipped_single_core);
         assert_eq!(report.mode, "serial");
-        assert_eq!(report.shards, 1);
+        assert_eq!(report.shards, 1, "fallback must not fake a sharded run");
+        assert_eq!(report.producers, 1);
+        assert_eq!(report.available_parallelism, 1);
         let threaded = routed_closed_loop_with_parallelism(&cfg, &model(), 4).unwrap();
         assert!(!threaded.skipped_single_core);
         assert_eq!(threaded.mode, "threaded");
+        assert_eq!(threaded.shards, 4);
         assert_eq!(threaded.decisions, report.decisions);
         assert_eq!(threaded.admitted, report.admitted);
     }
 
     #[test]
     fn zero_shapes_are_rejected() {
-        let cfg = BenchConfig {
+        let cfg = RoutedBenchConfig {
             shards: 0,
-            ..small()
+            ..small_routed()
         };
         assert_eq!(
-            closed_loop_with_parallelism(&cfg, &model(), 1).unwrap_err(),
+            routed_closed_loop_with_parallelism(&cfg, &model(), 1).unwrap_err(),
             BenchError::Serve(ServeError::ZeroShards)
         );
-        let cfg = BenchConfig {
-            links: 0,
-            ..small()
+        let cfg = RoutedBenchConfig {
+            flows_per_route: 1,
+            ..small_routed()
         };
         assert!(matches!(
-            closed_loop_with_parallelism(&cfg, &model(), 1),
-            Err(BenchError::Config(ConfigError::ZeroReplications))
+            routed_closed_loop_with_parallelism(&cfg, &model(), 1),
+            Err(BenchError::Config(ConfigError::TooFewFlows { got: 1 }))
         ));
     }
 }

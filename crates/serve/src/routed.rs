@@ -1,5 +1,22 @@
-//! Multi-hop admission over the sharded plane: deterministic two-phase
-//! reserve/commit across shards.
+//! The sharded decision plane: per-link controller state behind
+//! lock-free ingest rings, with a deterministic two-phase
+//! reserve/commit joining the per-hop votes of every request.
+//!
+//! # Architecture
+//!
+//! Links are hashed to shards ([`crate::shard_of`]); each shard owns
+//! *all* state for its links — one [`MbacController`] (with its decision
+//! memo) per link — plus one [`IngestRing`] of pending
+//! [`RoutedShardEvent`]s. Producers push measurement snapshots and
+//! per-hop reserve requests through a [`RoutedIngestHandle`]; each
+//! shard's consumer drains its ring in order. Link state is never
+//! shared across shards; the only cross-shard structure is the
+//! [`RouteTable`] of per-request votes.
+//!
+//! A single link is a topology whose routes each have one hop
+//! ([`mbac_sim::Topology::single_hop`]): a request then has one vote,
+//! which resolves it on the spot, so the protocol below reduces to
+//! "decide, commit on admit" against the one link's controller.
 //!
 //! # The problem
 //!
@@ -7,8 +24,7 @@
 //! none of them — and the hops' links may be owned by different shards.
 //! A naive protocol (admit hop-by-hop, undo on a later rejection) leaks
 //! provisional occupancy into early hops and makes the decision stream
-//! depend on cross-shard timing, destroying the serial-equivalence
-//! guarantee the single-link plane proves in [`crate::plane`].
+//! depend on cross-shard timing, destroying serial equivalence.
 //!
 //! # The protocol
 //!
@@ -41,16 +57,23 @@
 //! # Determinism
 //!
 //! A hop's vote depends only on its link's state, which evolves only
-//! through that link's events, applied in per-link stream order
-//! (parking preserves it). So every hop's vote — and therefore every
-//! resolution — is independent of shard count, producer count, and
-//! cross-link interleaving. Decisions are emitted by the owner of each
-//! route's *first* hop in that link's processing order, so the
-//! per-route decision sequence is seq-ordered and identical to the
-//! serial reference, byte for byte. `tests/routed.rs` proves it
-//! property-based; on a single-hop topology the protocol degenerates to
-//! exactly the legacy [`crate::plane::Shard`] sequence, reproducing its
-//! decision bytes bit for bit.
+//! through that link's events, applied in per-link stream order:
+//!
+//! 1. a link's events are pushed by a single producer, and the ring is
+//!    per-producer FIFO (see [`crate::ring`]), so they reach the shard
+//!    in per-link order;
+//! 2. a link's state lives on exactly one shard, so its events are
+//!    applied sequentially by one consumer in that arrival order
+//!    (parking preserves it);
+//! 3. a vote on link *a* never reads link *b*'s state.
+//!
+//! So every hop's vote — and therefore every resolution — is
+//! independent of shard count, producer count, and cross-link
+//! interleaving. Decisions are emitted by the owner of each route's
+//! *first* hop in that link's processing order, so the per-route
+//! decision sequence is seq-ordered and identical to the serial
+//! reference, byte for byte. `tests/routed.rs` proves it
+//! property-based, on single-hop and multi-hop topologies alike.
 
 use crate::plane::{ControllerFactory, DecisionEntry, ServeError, ShardMetrics, ShardStream};
 use crate::ring::IngestRing;
@@ -69,8 +92,9 @@ use std::time::{Duration, Instant};
 /// One unit of routed ingest.
 #[derive(Debug)]
 pub enum RoutedShardEvent {
-    /// A measurement snapshot for `link` (same semantics as
-    /// [`crate::plane::ShardEvent::Measure`]).
+    /// A measurement snapshot for `link`: per-flow instantaneous rates
+    /// at time `t`. The snapshot length is the link's measured
+    /// occupancy, which resynchronizes the plane's occupancy view.
     Measure {
         /// The link the measurement belongs to.
         link: LinkId,
@@ -143,13 +167,14 @@ pub struct RouteDecision {
 
 impl RouteDecision {
     /// Appends the decision's canonical byte encoding. Hop 0 is encoded
-    /// exactly as [`crate::plane::Decision::encode_into`] — flags byte
-    /// (bit 0 = route admit, bit 1 = admissible present), admissible
-    /// f64 bits (LE), occupancy (LE) — so a single-hop route reproduces
-    /// the legacy bytes bit for bit. Routes with more hops append a
-    /// reject-hop byte (`0xFF` = admitted) and one record per further
-    /// hop (flags bit 0 = that hop's vote). Latency is excluded — it is
-    /// a machine fact, not a decision.
+    /// as a flags byte (bit 0 = route admit, bit 1 = admissible
+    /// present), the admissible f64 bits (LE) and the occupancy (LE) —
+    /// 13 bytes, which is the whole record of a single-hop route.
+    /// Routes with more hops append a reject-hop byte (`0xFF` =
+    /// admitted; [`mbac_core::topology::MAX_ROUTE_HOPS`] keeps real hop
+    /// indices below it) and one record per further hop (flags bit 0 =
+    /// that hop's vote). Latency is excluded — it is a machine fact,
+    /// not a decision.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let h0 = &self.hops[0];
         let mut flags = self.admit as u8;
@@ -466,8 +491,8 @@ impl RoutedShard {
             let latency_ns =
                 enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
             let d = self.table.decision(&self.topology, seq, latency_ns);
-            // Hop 0's view mirrors the single-link plane's Decision:
-            // first-hop admissible and post-decision occupancy.
+            // Hop 0's view: first-hop admissible and post-decision
+            // occupancy.
             let entry = DecisionEntry {
                 admit,
                 occupancy: d.hops[0].occupancy,
@@ -719,7 +744,7 @@ pub fn routed_plane_snapshot(shards: &[RoutedShard]) -> MetricsSnapshot {
 }
 
 /// Producer-side handle: routes each event to the ring of the shard
-/// owning its link (same link hash as the single-link plane).
+/// owning its link ([`crate::shard_of`]).
 #[derive(Clone)]
 pub struct RoutedIngestHandle {
     rings: Vec<Arc<IngestRing<RoutedShardEvent>>>,
@@ -1087,6 +1112,200 @@ mod tests {
             assert!(get("reserves") > 0);
             assert_eq!(get("commits") + get("aborts"), get("reserves"));
             assert!(get("measures") > 0);
+        }
+        // The timing-gated histogram is absent without EnabledWithTiming.
+        assert!(out.snapshot.get("serve.shard0.decision_ns").is_none());
+    }
+
+    /// A one-shard plane over a single link of capacity 10, driven by
+    /// hand. The workload only sizes the route table (seqs 0..40 on
+    /// route 0); its events are not replayed.
+    fn single_link_plane(cfg: &RoutedPlaneConfig) -> Result<RoutedPlane, ServeError> {
+        let w = workload(Topology::single_link(10.0), 0.0);
+        RoutedPlane::for_workload(cfg, &w, certainty_equivalent_factory(1e-2, 0.0))
+    }
+
+    fn reserve(seq: u64) -> RoutedShardEvent {
+        RoutedShardEvent::Reserve {
+            link: LinkId(0),
+            seq,
+            hop: 0,
+            enqueued: None,
+        }
+    }
+
+    #[test]
+    fn config_errors_are_typed() {
+        let bad = RoutedPlaneConfig {
+            shards: 0,
+            ..RoutedPlaneConfig::default()
+        };
+        assert_eq!(single_link_plane(&bad).err(), Some(ServeError::ZeroShards));
+        let bad = RoutedPlaneConfig {
+            ring_capacity: 0,
+            ..RoutedPlaneConfig::default()
+        };
+        assert_eq!(
+            single_link_plane(&bad).err(),
+            Some(ServeError::ZeroRingCapacity)
+        );
+        let w = workload(Topology::single_link(10.0), 0.0);
+        let cfg = RoutedReplayConfig {
+            producers: 0,
+            ..RoutedReplayConfig::default()
+        };
+        assert_eq!(
+            routed_replay_threaded(&cfg, certainty_equivalent_factory(1e-2, 0.0), &w).err(),
+            Some(ServeError::ZeroProducers)
+        );
+    }
+
+    #[test]
+    fn handles_place_links_on_their_owning_shard() {
+        let plane = single_link_plane(&RoutedPlaneConfig {
+            shards: 4,
+            ..RoutedPlaneConfig::default()
+        })
+        .unwrap();
+        let handle = plane.handle();
+        for link in (0..1000u32).map(LinkId) {
+            assert_eq!(handle.shard_of(link), crate::shard_of(link, 4));
+        }
+    }
+
+    #[test]
+    fn cold_start_rejects_and_measurement_enables() {
+        let mut plane = single_link_plane(&RoutedPlaneConfig::default()).unwrap();
+        let shard = &mut plane.shards_mut()[0];
+        let mut out = Vec::new();
+        shard.apply(reserve(0), &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(!out[0].admit, "cold start must fail safe");
+        assert_eq!(out[0].hops[0].admissible, None);
+
+        // Constant rates 1.0: σ̂ = 0 ⇒ fluid limit c/μ̂ = 10 flows.
+        shard.apply(
+            RoutedShardEvent::Measure {
+                link: LinkId(0),
+                t: 0.0,
+                rates: vec![1.0; 4].into_boxed_slice(),
+            },
+            &mut out,
+        );
+        out.clear();
+        for seq in 1..8 {
+            shard.apply(reserve(seq), &mut out);
+        }
+        assert!(!shard.has_parked(), "a single-hop vote resolves at once");
+        let admitted = out.iter().filter(|d| d.admit).count();
+        // Occupancy resynced to 4; fluid limit 10 ⇒ 6 more fit.
+        assert_eq!(admitted, 6);
+        assert!(!out[6].admit, "the 7th must push past the fluid limit");
+        assert_eq!(out[6].reject_hop, Some(0));
+        assert_eq!(out[5].hops[0].occupancy, 10);
+    }
+
+    #[test]
+    fn drain_applies_ring_events_in_order() {
+        let mut plane = single_link_plane(&RoutedPlaneConfig::default()).unwrap();
+        let handle = plane.handle();
+        handle
+            .try_send(RoutedShardEvent::Measure {
+                link: LinkId(0),
+                t: 0.0,
+                rates: vec![1.0; 2].into_boxed_slice(),
+            })
+            .unwrap();
+        handle.try_send(reserve(0)).unwrap();
+        let mut out = Vec::new();
+        let n = plane.shards_mut()[0].drain_into(&mut out);
+        assert_eq!(n, 2);
+        assert_eq!(out.len(), 1);
+        assert!(out[0].admit, "measurement must precede the decision");
+    }
+
+    #[test]
+    fn latency_stamps_are_recorded_when_requested() {
+        let w = workload(Topology::parking_lot(3, 14.0), 0.05);
+        let cfg = RoutedReplayConfig {
+            plane: RoutedPlaneConfig {
+                shards: 2,
+                ..RoutedPlaneConfig::default()
+            },
+            stamp_latency: true,
+            ..RoutedReplayConfig::default()
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let out = routed_replay_threaded(&cfg, make, &w).unwrap();
+        assert_eq!(out.latencies_ns().len() as u64, out.decisions);
+    }
+
+    #[test]
+    fn decision_encoding_is_injective_on_the_fields() {
+        let hop = |link: u32, vote: bool| HopDecision {
+            link: LinkId(link),
+            vote,
+            admissible: Some(7.5),
+            occupancy: 4,
+        };
+        let encode = |d: &RouteDecision| {
+            let mut out = Vec::new();
+            d.encode_into(&mut out);
+            out
+        };
+        let single = RouteDecision {
+            route: RouteId(0),
+            seq: 3,
+            admit: true,
+            reject_hop: None,
+            hops: vec![hop(0, true)],
+            latency_ns: None,
+        };
+        let multi = RouteDecision {
+            admit: false,
+            reject_hop: Some(1),
+            hops: vec![hop(0, true), hop(1, false)],
+            ..single.clone()
+        };
+        assert_eq!(encode(&single).len(), 13, "one 13-byte hop record");
+        assert_eq!(encode(&multi).len(), 13 + 1 + 13);
+        for base in [&single, &multi] {
+            let a = encode(base);
+            // Latency is excluded from the encoding.
+            let stamped = RouteDecision {
+                latency_ns: Some(99),
+                ..base.clone()
+            };
+            assert_eq!(a, encode(&stamped));
+            // Every decision field changes the bytes.
+            let changes: [fn(&mut HopDecision); 3] = [
+                |h| h.admissible = Some(7.5000001),
+                |h| h.admissible = None,
+                |h| h.occupancy = 5,
+            ];
+            let mut variants = vec![RouteDecision {
+                admit: !base.admit,
+                ..base.clone()
+            }];
+            for h in 0..base.hops.len() {
+                for change in changes {
+                    let mut d = base.clone();
+                    change(&mut d.hops[h]);
+                    variants.push(d);
+                }
+            }
+            if base.hops.len() > 1 {
+                let mut d = base.clone();
+                d.hops[1].vote = !d.hops[1].vote;
+                variants.push(d);
+                variants.push(RouteDecision {
+                    reject_hop: None,
+                    ..base.clone()
+                });
+            }
+            for other in variants {
+                assert_ne!(a, encode(&other), "{other:?}");
+            }
         }
     }
 }

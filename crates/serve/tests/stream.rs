@@ -2,27 +2,33 @@
 //! stream handle never changes what the plane computes, and the
 //! cumulative interval records it emits re-fold to the plane's own
 //! merged snapshot exactly — for any shard count, producer count, and
-//! flush interval.
+//! flush interval, on independent single-hop links and on a multi-hop
+//! topology.
 
 use mbac_metrics::{refold_intervals, StreamConfig, StreamItem, StreamSink};
 use mbac_serve::{
-    certainty_equivalent_factory, replay_serial, replay_threaded, PlaneConfig, ReplayConfig,
+    certainty_equivalent_factory, routed_replay_serial, routed_replay_threaded, RoutedPlaneConfig,
+    RoutedReplayConfig,
 };
-use mbac_sim::{MetricsMode, RequestLoad, RequestLoadConfig, ServeWorkload, SessionBuilder};
+use mbac_sim::{
+    MetricsMode, RoutedLoad, RoutedLoadConfig, RoutedWorkload, SessionBuilder, Topology,
+};
 use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 use proptest::prelude::*;
+use std::sync::Arc;
 
-fn workload(seed: u64, links: usize) -> ServeWorkload {
+fn workload(seed: u64, topology: Topology) -> RoutedWorkload {
     let model = RcbrModel::new(RcbrConfig::paper_default(1.0));
-    let load = RequestLoad {
+    let load = RoutedLoad {
         model: &model,
-        cfg: RequestLoadConfig {
-            links,
-            flows_per_link: 6,
+        cfg: RoutedLoadConfig {
+            topology: Arc::new(topology),
+            flows_per_route: 6,
             ticks: 20,
             tick: 0.1,
             requests_per_tick: 3,
             mean_holding: 5.0,
+            noise_sd: 0.0,
             seed,
         },
     };
@@ -34,25 +40,31 @@ proptest! {
 
     /// With sampling at 1.0 every decision emits exactly one sample,
     /// and the final intervals (one per shard, cumulative) re-fold to
-    /// the plane's merged `serve.shard<i>.*` snapshot byte-for-byte.
+    /// the plane's merged `serve.shard<i>.*` / `net.link<j>.*` snapshot
+    /// byte-for-byte.
     #[test]
     fn serve_stream_refolds_to_plane_snapshot(
         seed in 0u64..100_000,
+        multi_hop in 0u8..2,
         shards in 1usize..5,
         producers in 1usize..4,
         flush_interval in 0u64..20,
     ) {
-        let w = workload(seed, 8);
+        let topology = if multi_hop == 1 {
+            Topology::parking_lot(3, 14.0)
+        } else {
+            Topology::single_hop(8, 8.0)
+        };
+        let w = workload(seed, topology);
         let (sink, collected) = StreamSink::collecting(StreamConfig {
             ring_capacity: 1 << 14,
             sample_fraction: 1.0,
             flush_interval,
             ..StreamConfig::default()
         });
-        let cfg = ReplayConfig {
-            plane: PlaneConfig {
+        let cfg = RoutedReplayConfig {
+            plane: RoutedPlaneConfig {
                 shards,
-                capacity: 8.0,
                 ring_capacity: 64,
                 metrics: MetricsMode::Streaming,
                 stream: Some(sink.handle()),
@@ -62,9 +74,9 @@ proptest! {
         };
         let make = certainty_equivalent_factory(1e-2, 2.0);
         let out = if shards > 1 || producers > 1 {
-            replay_threaded(&cfg, make, &w).unwrap()
+            routed_replay_threaded(&cfg, make, &w).unwrap()
         } else {
-            replay_serial(&cfg, make, &w).unwrap()
+            routed_replay_serial(&cfg, make, &w).unwrap()
         };
         let stats = sink.finish().unwrap();
         prop_assert_eq!(stats.dropped, 0, "oversized ring must not drop");
@@ -80,7 +92,8 @@ proptest! {
         prop_assert_eq!(
             out.snapshot.to_json(),
             refolded.to_json(),
-            "re-folded serve intervals diverged (shards={}, producers={})",
+            "re-folded serve intervals diverged (multi_hop={}, shards={}, producers={})",
+            multi_hop,
             shards,
             producers
         );

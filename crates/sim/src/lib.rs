@@ -56,10 +56,7 @@ pub use network::{
 };
 #[cfg(any(test, feature = "reference-table"))]
 pub use reference::ReferenceFlowTable;
-pub use requests::{
-    LinkEvent, RequestLoad, RequestLoadConfig, RoutedEvent, RoutedLoad, RoutedLoadConfig,
-    RoutedWorkload, ServeWorkload,
-};
+pub use requests::{RoutedEvent, RoutedLoad, RoutedLoadConfig, RoutedWorkload};
 pub use runner::{
     ContinuousConfig, ContinuousLoad, ContinuousReport, ImpulsiveConfig, ImpulsiveLoad,
     ImpulsiveReport, PhaseReport, PhasedLoad,

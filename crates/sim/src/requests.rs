@@ -3,21 +3,19 @@
 //!
 //! The serve crate needs realistic admission traffic — links whose
 //! measured load evolves like the paper's RCBR/AR(1)/trace sources,
-//! interleaved with admission requests. [`RequestLoad`] produces exactly
-//! that by running one [`FlowTable`](crate::flows::FlowTable) per link
-//! through the [`Scenario`] pipeline: each replication *is* one link,
-//! evolving `flows_per_link` flows with exponential holding-time churn
-//! and emitting, per measurement tick, one [`LinkEvent::Measure`]
-//! snapshot followed by `requests_per_tick` [`LinkEvent::Request`]s.
-//!
-//! [`RoutedLoad`] generalizes this to a [`Topology`]: one replication
-//! per *route*, each evolving its own flow population, folded into
-//! per-link event streams where a link's measurement is the
-//! concatenation of every crossing route's flow snapshot (shared flows
-//! ⇒ correlated load) perturbed by per-node measurement noise, and an
-//! admission request on an `h`-hop route appears as one
-//! [`RoutedEvent::Request`] occurrence on *each* hop link, all carrying
-//! the same global sequence number for the plane's two-phase commit.
+//! interleaved with admission requests. [`RoutedLoad`] produces exactly
+//! that over a [`Topology`] through the [`Scenario`] pipeline: one
+//! replication per *route*, each evolving `flows_per_route` flows with
+//! exponential holding-time churn, folded into per-link event streams
+//! where a link's measurement is the concatenation of every crossing
+//! route's flow snapshot (shared flows ⇒ correlated load) perturbed by
+//! per-node measurement noise, and an admission request on an `h`-hop
+//! route appears as one [`RoutedEvent::Request`] occurrence on *each*
+//! hop link, all carrying the same global sequence number for the
+//! plane's two-phase commit. On a [`Topology::single_hop`] network,
+//! route `i` is link `i`'s own flow population, so every link carries
+//! an independent stream: per tick, one [`RoutedEvent::Measure`]
+//! snapshot followed by `requests_per_tick` requests.
 //!
 //! Because generation rides the Session pipeline, a workload is
 //! **bit-identical for any worker count and either flow engine** (the
@@ -31,10 +29,10 @@
 //! controller's decision sequence depends on. Cross-link order is
 //! deliberately unspecified — the decision plane is free to interleave
 //! links arbitrarily (that is the whole point of sharding), and
-//! [`ServeWorkload::canonical_events`] provides one fixed round-robin
-//! merge as the serial-reference order. Routed workloads add one more
-//! guarantee the two-phase commit relies on: each link's `Request`
-//! occurrences are strictly increasing in `seq`.
+//! [`RoutedWorkload::canonical_events`] provides one fixed round-robin
+//! merge as the serial-reference order. Each link's `Request`
+//! occurrences are strictly increasing in `seq`, which the two-phase
+//! commit relies on.
 
 use crate::session::{require_non_negative, require_positive, ConfigError, RepContext, Scenario};
 use crate::telemetry::MetricsSink;
@@ -44,202 +42,6 @@ use mbac_traffic::process::SourceModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-/// One event in a link's serve workload, in per-link order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LinkEvent {
-    /// A measurement snapshot: the per-flow instantaneous rates on the
-    /// link at time `t` (the estimator input of eqn (23)).
-    Measure {
-        /// Absolute measurement time.
-        t: f64,
-        /// Per-flow rates; the length is the link's occupancy.
-        rates: Box<[f64]>,
-    },
-    /// An admission request arriving at time `t`.
-    Request {
-        /// Absolute arrival time.
-        t: f64,
-    },
-}
-
-/// Configuration of the request-stream workload.
-#[derive(Debug, Clone)]
-pub struct RequestLoadConfig {
-    /// Number of links (one replication — one RNG stream — per link).
-    pub links: usize,
-    /// Steady-state flow population per link (churned, then topped up,
-    /// every tick).
-    pub flows_per_link: usize,
-    /// Measurement ticks per link.
-    pub ticks: usize,
-    /// Measurement period `τ` (absolute times are `step · τ`).
-    pub tick: f64,
-    /// Admission requests emitted after each measurement.
-    pub requests_per_tick: usize,
-    /// Mean exponential holding time of the churned flows.
-    pub mean_holding: f64,
-    /// Base seed (the builder may override it).
-    pub seed: u64,
-}
-
-/// The generated workload: per-link event streams, link `l` at index
-/// `l` (link ids are replication indices).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeWorkload {
-    per_link: Vec<Vec<LinkEvent>>,
-}
-
-impl ServeWorkload {
-    /// Number of links.
-    pub fn links(&self) -> usize {
-        self.per_link.len()
-    }
-
-    /// All link ids, in index order.
-    pub fn link_ids(&self) -> impl Iterator<Item = LinkId> + '_ {
-        (0..self.per_link.len()).map(|l| LinkId(l as u32))
-    }
-
-    /// Link `link`'s event stream, in per-link order.
-    pub fn events(&self, link: LinkId) -> &[LinkEvent] {
-        &self.per_link[link.index()]
-    }
-
-    /// Total admission requests across all links.
-    pub fn total_requests(&self) -> usize {
-        self.per_link
-            .iter()
-            .map(|evs| {
-                evs.iter()
-                    .filter(|e| matches!(e, LinkEvent::Request { .. }))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// Total events across all links.
-    pub fn total_events(&self) -> usize {
-        self.per_link.iter().map(Vec::len).sum()
-    }
-
-    /// The canonical serial-reference order: a round-robin merge by
-    /// event index (`link 0 event 0, link 1 event 0, …, link 0 event 1,
-    /// …`). Any order that preserves each link's own sequence yields the
-    /// same per-link decisions (the serve invariance suite proves this);
-    /// this one is the fixed reference the sharded plane is compared
-    /// against.
-    pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &LinkEvent)> {
-        let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
-        (0..longest).flat_map(move |i| {
-            self.per_link
-                .iter()
-                .enumerate()
-                .filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
-        })
-    }
-}
-
-/// One per-tick churn step shared by [`RequestLoad`] and
-/// [`RoutedLoad`]: the exact sequence of table/RNG operations is the
-/// compatibility contract — a single-link routed workload must consume
-/// the identical random stream and therefore produce bit-identical
-/// rate snapshots.
-fn evolve_rate_snapshots(
-    model: &dyn SourceModel,
-    flows: usize,
-    ticks: usize,
-    tick: f64,
-    mean_holding: f64,
-    ctx: &RepContext,
-) -> Vec<Box<[f64]>> {
-    let mut rng = ctx.rng();
-    let mut table = ctx.table();
-    let mut snap = ctx.scratch_rates();
-    // Seed population with exponential residual holding times.
-    for _ in 0..flows {
-        let hold = exponential(&mut rng, mean_holding);
-        table.admit(model, hold, &mut rng);
-    }
-    let mut out = Vec::with_capacity(ticks);
-    for step in 1..=ticks {
-        let now = step as f64 * tick;
-        table.advance_to(now, &mut rng);
-        table.depart_until(now);
-        // Churn: top the population back up, so the measured link
-        // carries fresh flows but a stable occupancy.
-        while table.len() < flows {
-            let hold = exponential(&mut rng, mean_holding);
-            table.admit(model, now + hold, &mut rng);
-        }
-        table.snapshot_into(&mut snap);
-        out.push(snap.as_slice().into());
-    }
-    out
-}
-
-/// The request-stream scenario: replication `r` generates link `r`'s
-/// event stream from the source model's traffic.
-pub struct RequestLoad<'a> {
-    /// The per-flow traffic model (RCBR, AR(1), trace, …).
-    pub model: &'a dyn SourceModel,
-    /// Workload shape.
-    pub cfg: RequestLoadConfig,
-}
-
-impl Scenario for RequestLoad<'_> {
-    type Rep = Vec<LinkEvent>;
-    type Report = ServeWorkload;
-
-    fn validate(&self) -> Result<(), ConfigError> {
-        if self.cfg.links == 0 {
-            // One replication per link: zero links is zero replications.
-            return Err(ConfigError::ZeroReplications);
-        }
-        if self.cfg.flows_per_link < 2 {
-            return Err(ConfigError::TooFewFlows {
-                got: self.cfg.flows_per_link,
-            });
-        }
-        require_positive("ticks", self.cfg.ticks as f64)?;
-        require_positive("tick", self.cfg.tick)?;
-        require_positive("mean holding time", self.cfg.mean_holding)?;
-        Ok(())
-    }
-
-    fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
-    fn replications(&self) -> usize {
-        self.cfg.links
-    }
-
-    fn run_rep(&self, ctx: &RepContext, _sink: &mut MetricsSink) -> Vec<LinkEvent> {
-        let cfg = &self.cfg;
-        let snapshots = evolve_rate_snapshots(
-            self.model,
-            cfg.flows_per_link,
-            cfg.ticks,
-            cfg.tick,
-            cfg.mean_holding,
-            ctx,
-        );
-        let mut events = Vec::with_capacity(cfg.ticks * (1 + cfg.requests_per_tick));
-        for (step, rates) in snapshots.into_iter().enumerate() {
-            let now = (step + 1) as f64 * cfg.tick;
-            events.push(LinkEvent::Measure { t: now, rates });
-            for _ in 0..cfg.requests_per_tick {
-                events.push(LinkEvent::Request { t: now });
-            }
-        }
-        events
-    }
-
-    fn fold(&self, reps: Vec<Vec<LinkEvent>>) -> ServeWorkload {
-        ServeWorkload { per_link: reps }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Routed workloads
@@ -292,30 +94,10 @@ pub struct RoutedLoadConfig {
     pub mean_holding: f64,
     /// Standard deviation of the per-node measurement noise added to
     /// every rate sample independently at each link (0 disables noise
-    /// — and consumes no random numbers, preserving single-link
-    /// bit-compatibility with [`RequestLoad`]).
+    /// and consumes no random numbers).
     pub noise_sd: f64,
     /// Base seed (the builder may override it).
     pub seed: u64,
-}
-
-impl RoutedLoadConfig {
-    /// The one-link convenience: wraps a [`RequestLoadConfig`]-shaped
-    /// workload (one link, one single-hop route, no measurement noise)
-    /// in a [`Topology::single_link`]. The generated event stream is
-    /// bit-identical to [`RequestLoad`]'s.
-    pub fn single_link(capacity: f64, cfg: &RequestLoadConfig) -> Self {
-        RoutedLoadConfig {
-            topology: Arc::new(Topology::single_link(capacity)),
-            flows_per_route: cfg.flows_per_link,
-            ticks: cfg.ticks,
-            tick: cfg.tick,
-            requests_per_tick: cfg.requests_per_tick,
-            mean_holding: cfg.mean_holding,
-            noise_sd: 0.0,
-            seed: cfg.seed,
-        }
-    }
 }
 
 /// The generated routed workload: per-link event streams over a shared
@@ -360,10 +142,11 @@ impl RoutedWorkload {
         self.per_link.iter().map(Vec::len).sum()
     }
 
-    /// The canonical serial-reference order: the same round-robin merge
-    /// by event index as [`ServeWorkload::canonical_events`]. Each
-    /// link's subsequence equals its own stream, which is all the
-    /// routed plane's determinism argument needs.
+    /// The canonical serial-reference order: a round-robin merge by
+    /// event index (`link 0 event 0, link 1 event 0, …, link 0 event 1,
+    /// …`). Any order that preserves each link's own sequence yields the
+    /// same decisions (the serve invariance suite proves this); this one
+    /// is the fixed reference the sharded plane is compared against.
     pub fn canonical_events(&self) -> impl Iterator<Item = (LinkId, &RoutedEvent)> {
         let longest = self.per_link.iter().map(Vec::len).max().unwrap_or(0);
         (0..longest).flat_map(move |i| {
@@ -373,6 +156,43 @@ impl RoutedWorkload {
                 .filter_map(move |(link, evs)| evs.get(i).map(|e| (LinkId(link as u32), e)))
         })
     }
+}
+
+/// One route's flow population, evolved tick by tick: the per-tick
+/// rate snapshots. The exact sequence of table/RNG operations is the
+/// workload's bit-level contract — the serve plane's pinned decision
+/// digests depend on it.
+fn evolve_rate_snapshots(
+    model: &dyn SourceModel,
+    flows: usize,
+    ticks: usize,
+    tick: f64,
+    mean_holding: f64,
+    ctx: &RepContext,
+) -> Vec<Box<[f64]>> {
+    let mut rng = ctx.rng();
+    let mut table = ctx.table();
+    let mut snap = ctx.scratch_rates();
+    // Seed population with exponential residual holding times.
+    for _ in 0..flows {
+        let hold = exponential(&mut rng, mean_holding);
+        table.admit(model, hold, &mut rng);
+    }
+    let mut out = Vec::with_capacity(ticks);
+    for step in 1..=ticks {
+        let now = step as f64 * tick;
+        table.advance_to(now, &mut rng);
+        table.depart_until(now);
+        // Churn: top the population back up, so the measured link
+        // carries fresh flows but a stable occupancy.
+        while table.len() < flows {
+            let hold = exponential(&mut rng, mean_holding);
+            table.admit(model, now + hold, &mut rng);
+        }
+        table.snapshot_into(&mut snap);
+        out.push(snap.as_slice().into());
+    }
+    out
 }
 
 /// Salt deriving the per-node noise streams from the workload seed
@@ -496,128 +316,9 @@ mod tests {
     use crate::session::SessionBuilder;
     use mbac_traffic::rcbr::{RcbrConfig, RcbrModel};
 
-    fn config() -> RequestLoadConfig {
-        RequestLoadConfig {
-            links: 3,
-            flows_per_link: 8,
-            ticks: 20,
-            tick: 0.5,
-            requests_per_tick: 2,
-            mean_holding: 5.0,
-            seed: 11,
-        }
-    }
-
     fn model() -> RcbrModel {
         RcbrModel::new(RcbrConfig::paper_default(1.0))
     }
-
-    #[test]
-    fn workload_has_expected_shape() {
-        let m = model();
-        let load = RequestLoad {
-            model: &m,
-            cfg: config(),
-        };
-        let w = SessionBuilder::new().run(&load).unwrap();
-        assert_eq!(w.links(), 3);
-        assert_eq!(w.total_requests(), 3 * 20 * 2);
-        assert_eq!(w.total_events(), 3 * 20 * 3);
-        for link in w.link_ids() {
-            let evs = w.events(link);
-            // Per-link pattern: Measure, then requests_per_tick Requests.
-            for (i, e) in evs.iter().enumerate() {
-                match i % 3 {
-                    0 => assert!(matches!(e, LinkEvent::Measure { .. })),
-                    _ => assert!(matches!(e, LinkEvent::Request { .. })),
-                }
-            }
-            // Occupancy is topped up to the target every tick.
-            for e in evs {
-                if let LinkEvent::Measure { rates, .. } = e {
-                    assert_eq!(rates.len(), 8);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn workload_is_worker_and_engine_invariant() {
-        let m = model();
-        let load = RequestLoad {
-            model: &m,
-            cfg: config(),
-        };
-        let reference = SessionBuilder::new().workers(1).run(&load).unwrap();
-        for workers in [2, 4] {
-            let w = SessionBuilder::new().workers(workers).run(&load).unwrap();
-            assert_eq!(w, reference, "diverged at {workers} workers");
-        }
-        let boxed = SessionBuilder::new()
-            .engine(crate::session::Engine::Boxed)
-            .run(&load)
-            .unwrap();
-        assert_eq!(boxed, reference, "boxed engine diverged");
-    }
-
-    #[test]
-    fn canonical_order_is_round_robin_and_complete() {
-        let m = model();
-        let load = RequestLoad {
-            model: &m,
-            cfg: config(),
-        };
-        let w = SessionBuilder::new().run(&load).unwrap();
-        let merged: Vec<(LinkId, &LinkEvent)> = w.canonical_events().collect();
-        assert_eq!(merged.len(), w.total_events());
-        // Per-link subsequence of the merge equals the link's own stream.
-        for link in w.link_ids() {
-            let sub: Vec<&LinkEvent> = merged
-                .iter()
-                .filter(|&&(l, _)| l == link)
-                .map(|&(_, e)| e)
-                .collect();
-            let own: Vec<&LinkEvent> = w.events(link).iter().collect();
-            assert_eq!(sub, own);
-        }
-        assert_eq!(merged[0].0, LinkId(0));
-        assert_eq!(merged[1].0, LinkId(1));
-        assert_eq!(merged[2].0, LinkId(2));
-    }
-
-    #[test]
-    fn bad_configs_are_rejected() {
-        let m = model();
-        let mut cfg = config();
-        cfg.links = 0;
-        let err = RequestLoad {
-            model: &m,
-            cfg: cfg.clone(),
-        }
-        .validate()
-        .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroReplications);
-
-        let mut cfg = config();
-        cfg.flows_per_link = 1;
-        assert!(matches!(
-            RequestLoad {
-                model: &m,
-                cfg: cfg.clone()
-            }
-            .validate(),
-            Err(ConfigError::TooFewFlows { got: 1 })
-        ));
-
-        let mut cfg = config();
-        cfg.tick = 0.0;
-        assert!(matches!(
-            RequestLoad { model: &m, cfg }.validate(),
-            Err(ConfigError::NonPositive { field: "tick", .. })
-        ));
-    }
-
-    // -- routed workloads ------------------------------------------------
 
     fn routed_config(topology: Topology) -> RoutedLoadConfig {
         RoutedLoadConfig {
@@ -698,48 +399,60 @@ mod tests {
         assert_eq!(boxed, reference, "boxed engine diverged");
     }
 
-    /// The compatibility contract satellite-tested end-to-end in the
-    /// serve crate: a single-link routed workload reproduces
-    /// [`RequestLoad`]'s measurement bits exactly.
+    /// A single-hop network is independent links: link `i` carries only
+    /// route `i`'s flows, as one Measure followed by `requests_per_tick`
+    /// Requests per tick.
     #[test]
-    fn single_link_routed_matches_request_load_bits() {
+    fn single_hop_workload_is_one_stream_per_link() {
         let m = model();
-        let mut legacy_cfg = config();
-        legacy_cfg.links = 1;
-        let legacy = SessionBuilder::new()
-            .run(&RequestLoad {
-                model: &m,
-                cfg: legacy_cfg.clone(),
-            })
+        let mut cfg = routed_config(Topology::single_hop(3, 8.0));
+        cfg.noise_sd = 0.0;
+        let w = SessionBuilder::new()
+            .run(&RoutedLoad { model: &m, cfg })
             .unwrap();
-        let routed = SessionBuilder::new()
-            .run(&RoutedLoad {
-                model: &m,
-                cfg: RoutedLoadConfig::single_link(8.0, &legacy_cfg),
-            })
-            .unwrap();
-        let legacy_evs = legacy.events(LinkId(0));
-        let routed_evs = routed.events(LinkId(0));
-        assert_eq!(legacy_evs.len(), routed_evs.len());
-        for (l, r) in legacy_evs.iter().zip(routed_evs) {
-            match (l, r) {
-                (
-                    LinkEvent::Measure { t: lt, rates: lr },
-                    RoutedEvent::Measure { t: rt, rates: rr },
-                ) => {
-                    assert_eq!(lt.to_bits(), rt.to_bits());
-                    assert_eq!(lr.len(), rr.len());
-                    for (a, b) in lr.iter().zip(rr.iter()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "rate bits diverged");
+        assert_eq!(w.links(), 3);
+        assert_eq!(w.total_requests(), 3 * 12 * 2);
+        assert_eq!(w.total_events(), 3 * 12 * 3);
+        for link in w.topology().link_ids() {
+            for (i, e) in w.events(link).iter().enumerate() {
+                match e {
+                    RoutedEvent::Measure { rates, .. } => {
+                        assert_eq!(i % 3, 0);
+                        // Occupancy is topped up to the target every tick.
+                        assert_eq!(rates.len(), 6);
+                    }
+                    RoutedEvent::Request { route, .. } => {
+                        assert_ne!(i % 3, 0);
+                        assert_eq!(route.index(), link.index());
                     }
                 }
-                (LinkEvent::Request { t: lt }, RoutedEvent::Request { t: rt, route, .. }) => {
-                    assert_eq!(lt.to_bits(), rt.to_bits());
-                    assert_eq!(*route, RouteId(0));
-                }
-                other => panic!("event kind mismatch: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn canonical_order_is_round_robin_and_complete() {
+        let m = model();
+        let load = RoutedLoad {
+            model: &m,
+            cfg: routed_config(Topology::parking_lot(3, 8.0)),
+        };
+        let w = SessionBuilder::new().run(&load).unwrap();
+        let merged: Vec<(LinkId, &RoutedEvent)> = w.canonical_events().collect();
+        assert_eq!(merged.len(), w.total_events());
+        // Per-link subsequence of the merge equals the link's own stream.
+        for link in w.topology().link_ids() {
+            let sub: Vec<&RoutedEvent> = merged
+                .iter()
+                .filter(|&&(l, _)| l == link)
+                .map(|&(_, e)| e)
+                .collect();
+            let own: Vec<&RoutedEvent> = w.events(link).iter().collect();
+            assert_eq!(sub, own);
+        }
+        assert_eq!(merged[0].0, LinkId(0));
+        assert_eq!(merged[1].0, LinkId(1));
+        assert_eq!(merged[2].0, LinkId(2));
     }
 
     #[test]
@@ -756,6 +469,12 @@ mod tests {
         assert!(matches!(
             RoutedLoad { model: &m, cfg }.validate(),
             Err(ConfigError::TooFewFlows { got: 1 })
+        ));
+        let mut cfg = routed_config(Topology::single_link(8.0));
+        cfg.tick = 0.0;
+        assert!(matches!(
+            RoutedLoad { model: &m, cfg }.validate(),
+            Err(ConfigError::NonPositive { field: "tick", .. })
         ));
     }
 
