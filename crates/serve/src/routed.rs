@@ -15,8 +15,10 @@
 //!
 //! A single link is a topology whose routes each have one hop
 //! ([`mbac_sim::Topology::single_hop`]): a request then has one vote,
-//! which resolves it on the spot, so the protocol below reduces to
-//! "decide, commit on admit" against the one link's controller.
+//! which is its verdict, so the shard decides and commits it in place —
+//! "decide, commit on admit" against the one link's controller, with
+//! no shared vote and no countdown. One-hop routes on a multi-hop
+//! topology (the parking lot's cross traffic) take the same path.
 //!
 //! # The problem
 //!
@@ -40,7 +42,10 @@
 //!    [`RouteTable`] — but does **not** touch occupancy;
 //! 2. the **last** voter (detected by an `AcqRel` countdown) resolves
 //!    the request: admit iff every hop voted yes, published with
-//!    `Release`;
+//!    `Release`. A one-hop request resolves in place instead: its
+//!    vote is the verdict, so it casts no shared vote and skips the
+//!    countdown, but still publishes the verdict with `Release`, so
+//!    [`RouteTable::resolution`] reports every request alike;
 //! 3. every hop **commits on resolution**: occupancy increments only on
 //!    a resolved admit. A rejection commits nothing anywhere — rollback
 //!    is the absence of a write, so a rejected request is
@@ -80,7 +85,7 @@ use crate::ring::IngestRing;
 use mbac_core::topology::{hop_admits, LinkId, RouteId, Topology};
 use mbac_metrics::{Aggregated, Counter, MetricValue, MetricsSnapshot, StreamHandle};
 use mbac_sim::{MbacController, MetricsMode, RoutedEvent, RoutedWorkload};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -218,9 +223,11 @@ struct HopVote {
     bits: AtomicU64,
 }
 
-/// The shared vote/resolution table, one slot per request seq. Sized up
-/// front from the workload's seq → route map, so no allocation or
-/// locking happens on the decide path.
+/// The shared vote/resolution table, one resolution slot per request
+/// seq and one vote slot per hop of each multi-hop request (a one-hop
+/// request resolves in place and casts no shared vote). Sized up front
+/// from the workload's seq → route map, so no allocation or locking
+/// happens on the decide path.
 #[derive(Debug)]
 pub struct RouteTable {
     routes: Vec<RouteId>,
@@ -243,7 +250,9 @@ impl RouteTable {
             offsets.push(total);
             hop_counts.push(hops as u8);
             remaining.push(AtomicU32::new(hops as u32));
-            total += hops as u32;
+            if hops > 1 {
+                total += hops as u32;
+            }
         }
         RouteTable {
             routes: request_routes.to_vec(),
@@ -268,10 +277,31 @@ impl RouteTable {
         self.routes.len()
     }
 
-    /// Publishes one hop's vote. When this was the last outstanding
-    /// vote, resolves the request (admit iff every hop voted yes) and
-    /// returns the verdict; otherwise returns `None` and the caller
-    /// parks until [`RouteTable::resolution`] reports one.
+    /// Whether request `seq` has a one-hop route.
+    #[inline]
+    fn is_one_hop(&self, seq: u64) -> bool {
+        self.hop_counts[seq as usize] == 1
+    }
+
+    /// The route request `seq` addressed.
+    #[inline]
+    fn route(&self, seq: u64) -> RouteId {
+        self.routes[seq as usize]
+    }
+
+    /// Publishes request `seq`'s verdict for [`RouteTable::resolution`]
+    /// readers.
+    #[inline]
+    fn publish(&self, seq: u64, admit: bool) {
+        let verdict = if admit { ADMIT } else { REJECT };
+        self.resolution[seq as usize].store(verdict, Ordering::Release);
+    }
+
+    /// Publishes one hop's vote on a multi-hop request. When this was
+    /// the last outstanding vote, resolves the request (admit iff every
+    /// hop voted yes) and returns the verdict; otherwise returns `None`
+    /// and the caller parks until [`RouteTable::resolution`] reports
+    /// one.
     fn vote(
         &self,
         seq: u64,
@@ -296,8 +326,7 @@ impl RouteTable {
             let base = self.offsets[s] as usize;
             let all_yes = (0..self.hop_counts[s] as usize)
                 .all(|h| self.votes[base + h].meta.load(Ordering::Relaxed) & 1 != 0);
-            let verdict = if all_yes { ADMIT } else { REJECT };
-            self.resolution[s].store(verdict, Ordering::Release);
+            self.publish(seq, all_yes);
             Some(all_yes)
         } else {
             None
@@ -376,6 +405,38 @@ struct RoutedLinkState {
     aborts: u64,
 }
 
+impl RoutedLinkState {
+    fn new(ctl: MbacController) -> Self {
+        RoutedLinkState {
+            ctl,
+            flows: 0,
+            parked: None,
+            pending: VecDeque::new(),
+            measures: 0,
+            reserves: 0,
+            commits: 0,
+            aborts: 0,
+        }
+    }
+
+    /// Applies a resolved verdict: occupancy moves only on admit — a
+    /// rejected request writes nothing, so rollback is a no-op by
+    /// construction.
+    fn settle(&mut self, admit: bool) {
+        if admit {
+            self.flows += 1;
+            self.commits += 1;
+        } else {
+            self.aborts += 1;
+        }
+    }
+}
+
+/// Hop 0's ingest-to-decision latency, when the reserve was stamped.
+fn latency_since(enqueued: Option<Instant>) -> Option<u64> {
+    enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX))
+}
+
 /// One shard of the routed plane: the links it owns, their controllers
 /// and parking queues, and its ingest ring.
 pub struct RoutedShard {
@@ -383,7 +444,10 @@ pub struct RoutedShard {
     topology: Arc<Topology>,
     table: Arc<RouteTable>,
     ring: Arc<IngestRing<RoutedShardEvent>>,
-    links: HashMap<LinkId, RoutedLinkState>,
+    /// Per-link state, indexed by [`LinkId::index`]. A slot fills on the
+    /// link's first event, so only links this shard has seen hold
+    /// state.
+    links: Vec<Option<RoutedLinkState>>,
     /// Links currently parked (each appears once).
     parked_links: Vec<LinkId>,
     make: ControllerFactory,
@@ -408,35 +472,27 @@ impl RoutedShard {
         self.ring.is_empty()
     }
 
-    fn link_mut(&mut self, link: LinkId) -> &mut RoutedLinkState {
-        self.links.entry(link).or_insert_with(|| RoutedLinkState {
-            ctl: (self.make)(),
-            flows: 0,
-            parked: None,
-            pending: VecDeque::new(),
-            measures: 0,
-            reserves: 0,
-            commits: 0,
-            aborts: 0,
-        })
+    /// The state of a link that has already seen an event.
+    fn seen(&mut self, link: LinkId) -> &mut RoutedLinkState {
+        self.links[link.index()]
+            .as_mut()
+            .expect("the link has seen an event")
     }
 
-    /// Applies one event, buffering it when the link is parked.
+    /// Applies one event, buffering it when the link is parked. A
+    /// one-hop reserve is its own verdict and resolves here; a hop of a
+    /// longer route votes and parks until the last hop resolves it.
+    /// Panics if the event's link is not in the plane's topology.
     pub fn apply(&mut self, event: RoutedShardEvent, out: &mut Vec<RouteDecision>) {
         let link = event.link();
-        let state = self.link_mut(link);
+        let make = &self.make;
+        let state = self.links[link.index()].get_or_insert_with(|| RoutedLinkState::new(make()));
         if state.parked.is_some() {
             state.pending.push_back(event);
-        } else {
-            self.process(event, out);
+            return;
         }
-    }
-
-    /// Processes one event on an unparked link.
-    fn process(&mut self, event: RoutedShardEvent, out: &mut Vec<RouteDecision>) {
         match event {
-            RoutedShardEvent::Measure { link, t, rates } => {
-                let state = self.link_mut(link);
+            RoutedShardEvent::Measure { t, rates, .. } => {
                 state.ctl.observe(t, &rates);
                 state.flows = rates.len() as u32;
                 state.measures += 1;
@@ -445,32 +501,41 @@ impl RoutedShard {
                 }
             }
             RoutedShardEvent::Reserve {
-                link,
-                seq,
-                hop,
-                enqueued,
+                seq, hop, enqueued, ..
             } => {
-                let capacity = self.topology.capacity(link);
-                let state = self.link_mut(link);
-                let admissible = state.ctl.admissible_count(capacity);
-                let vote = hop_admits(admissible, state.flows);
+                let admissible = state.ctl.admissible_count(self.topology.capacity(link));
                 let occ = state.flows;
+                let vote = hop_admits(admissible, occ);
                 state.reserves += 1;
-                let verdict = self.table.vote(seq, hop, vote, admissible, occ);
-                match verdict {
-                    Some(admit) => self.commit(link, seq, hop, admit, enqueued, out),
-                    None => {
-                        self.link_mut(link).parked = Some(ParkedReserve { seq, hop, enqueued });
-                        self.parked_links.push(link);
-                    }
+                if self.table.is_one_hop(seq) {
+                    state.settle(vote);
+                    self.table.publish(seq, vote);
+                    let d = RouteDecision {
+                        route: self.table.route(seq),
+                        seq,
+                        admit: vote,
+                        reject_hop: (!vote).then_some(0),
+                        hops: vec![HopDecision {
+                            link,
+                            vote,
+                            admissible,
+                            occupancy: occ + vote as u32,
+                        }],
+                        latency_ns: latency_since(enqueued),
+                    };
+                    self.emit(d, out);
+                } else if let Some(admit) = self.table.vote(seq, hop, vote, admissible, occ) {
+                    self.commit(link, seq, hop, admit, enqueued, out);
+                } else {
+                    state.parked = Some(ParkedReserve { seq, hop, enqueued });
+                    self.parked_links.push(link);
                 }
             }
         }
     }
 
-    /// Commits a resolved hop: occupancy moves only here, and only on
-    /// admit — a rejected request writes nothing, so rollback is a
-    /// no-op by construction. Hop 0's owner emits the decision.
+    /// Commits a resolved hop of a multi-hop request. Hop 0's owner
+    /// emits the decision.
     fn commit(
         &mut self,
         link: LinkId,
@@ -480,31 +545,30 @@ impl RoutedShard {
         enqueued: Option<Instant>,
         out: &mut Vec<RouteDecision>,
     ) {
-        let state = self.link_mut(link);
-        if admit {
-            state.flows += 1;
-            state.commits += 1;
-        } else {
-            state.aborts += 1;
-        }
+        self.seen(link).settle(admit);
         if hop == 0 {
-            let latency_ns =
-                enqueued.map(|at| u64::try_from(at.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            let d = self.table.decision(&self.topology, seq, latency_ns);
-            // Hop 0's view: first-hop admissible and post-decision
-            // occupancy.
-            let entry = DecisionEntry {
-                admit,
-                occupancy: d.hops[0].occupancy,
-                admissible: d.hops[0].admissible,
-                latency_ns,
-            };
-            if let Some(m) = self.metrics.as_deref_mut() {
-                m.fold_decision(&entry);
-            }
-            self.stream_decision(&entry);
-            out.push(d);
+            let d = self
+                .table
+                .decision(&self.topology, seq, latency_since(enqueued));
+            self.emit(d, out);
         }
+    }
+
+    /// Folds a resolved decision into the shard's metrics and stream
+    /// (hop 0's view: first-hop admissible and post-decision occupancy)
+    /// and hands it out.
+    fn emit(&mut self, d: RouteDecision, out: &mut Vec<RouteDecision>) {
+        let entry = DecisionEntry {
+            admit: d.admit,
+            occupancy: d.hops[0].occupancy,
+            admissible: d.hops[0].admissible,
+            latency_ns: d.latency_ns,
+        };
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.fold_decision(&entry);
+        }
+        self.stream_decision(&entry);
+        out.push(d);
     }
 
     /// One parking sweep: commits every parked link whose verdict has
@@ -516,27 +580,27 @@ impl RoutedShard {
         let mut i = 0;
         while i < self.parked_links.len() {
             let link = self.parked_links[i];
-            let parked = self.links[&link].parked.expect("parked link has a reserve");
+            let parked = self.seen(link).parked.expect("parked link has a reserve");
             let Some(admit) = self.table.resolution(parked.seq) else {
                 i += 1;
                 continue;
             };
-            // Unlist before replaying: a re-park inside `process` pushes
+            // Unlist before replaying: a re-park inside `apply` pushes
             // the link back, so leaving it listed would duplicate it.
             self.parked_links.swap_remove(i);
-            self.link_mut(link).parked = None;
+            self.seen(link).parked = None;
             self.commit(link, parked.seq, parked.hop, admit, parked.enqueued, out);
             progressed += 1;
             // Replay the buffer until it drains or the link re-parks.
             loop {
-                let state = self.link_mut(link);
+                let state = self.seen(link);
                 if state.parked.is_some() {
                     break;
                 }
                 let Some(ev) = state.pending.pop_front() else {
                     break;
                 };
-                self.process(ev, out);
+                self.apply(ev, out);
             }
         }
         progressed
@@ -570,7 +634,8 @@ impl RoutedShard {
             .unwrap_or_default();
         let mut links = Vec::new();
         if self.metrics.is_some() {
-            for (link, state) in &self.links {
+            let seen = self.links.iter().enumerate();
+            for (link, state) in seen.filter_map(|(i, s)| Some((i, s.as_ref()?))) {
                 let mut bundle = MetricsSnapshot::new();
                 for (name, v) in [
                     ("measures", state.measures),
@@ -582,7 +647,7 @@ impl RoutedShard {
                     c.add(v);
                     bundle.insert(name, MetricValue::Counter(c.snapshot()));
                 }
-                links.push((link.index(), bundle));
+                links.push((link, bundle));
             }
         }
         (shard, links)
@@ -691,7 +756,7 @@ impl RoutedPlane {
                 topology: Arc::clone(&topology),
                 table: Arc::clone(&table),
                 ring: Arc::new(IngestRing::with_capacity(cfg.ring_capacity)),
-                links: HashMap::new(),
+                links: (0..topology.links()).map(|_| None).collect(),
                 parked_links: Vec::new(),
                 make: Arc::clone(&make),
                 metrics: (cfg.metrics != MetricsMode::Disabled)
@@ -1222,6 +1287,124 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(out.len(), 1);
         assert!(out[0].admit, "measurement must precede the decision");
+    }
+
+    /// A one-shard plane with link counters on parking-lot(3) at
+    /// capacity 14: route 0 crosses links 0, 1 and 2; route `r ≥ 1` is
+    /// link `r − 1` alone. Driven by hand, like `single_link_plane`.
+    fn parking_lot_plane() -> (RoutedPlane, RoutedWorkload) {
+        let w = workload(Topology::parking_lot(3, 14.0), 0.0);
+        let cfg = RoutedPlaneConfig {
+            metrics: MetricsMode::Enabled,
+            ..RoutedPlaneConfig::default()
+        };
+        let plane = RoutedPlane::for_workload(&cfg, &w, certainty_equivalent_factory(1e-2, 0.0));
+        (plane.unwrap(), w)
+    }
+
+    /// The seqs of the workload's requests on `route`, in order.
+    fn seqs_on(w: &RoutedWorkload, route: usize) -> Vec<u64> {
+        let routes = w.request_routes().iter().enumerate();
+        routes
+            .filter(|(_, r)| r.index() == route)
+            .map(|(s, _)| s as u64)
+            .collect()
+    }
+
+    fn hop0(link: u32, seq: u64) -> RoutedShardEvent {
+        RoutedShardEvent::Reserve {
+            link: LinkId(link),
+            seq,
+            hop: 0,
+            enqueued: None,
+        }
+    }
+
+    fn link_counter(shard: &RoutedShard, link: u32, name: &str) -> u64 {
+        let snap = routed_plane_snapshot(std::slice::from_ref(shard));
+        match snap.get(&format!("net.link{link}.{name}")) {
+            Some(MetricValue::Counter(c)) => c.count,
+            other => panic!("net.link{link}.{name}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_hop_reserve_resolves_inside_apply() {
+        let (mut plane, w) = parking_lot_plane();
+        let shard = &mut plane.shards_mut()[0];
+        let mut out = Vec::new();
+        let seq = seqs_on(&w, 2)[0];
+        shard.apply(hop0(1, seq), &mut out);
+        assert_eq!(out.len(), 1, "the one-hop request is decided in apply");
+        assert_eq!((out[0].route, out[0].seq), (RouteId(2), seq));
+        assert!(!shard.has_parked());
+        // Hop 0 of the 3-hop route (link 0) votes and parks until hops
+        // 1 and 2 vote.
+        shard.apply(hop0(0, seqs_on(&w, 0)[0]), &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(shard.has_parked());
+    }
+
+    #[test]
+    fn one_hop_verdicts_publish_and_move_the_link_counters() {
+        let (mut plane, w) = parking_lot_plane();
+        let shard = &mut plane.shards_mut()[0];
+        let mut out = Vec::new();
+        let seqs = seqs_on(&w, 2);
+        assert_eq!(shard.table.resolution(seqs[0]), None);
+        // Cold start fails safe: an abort, published as a reject.
+        shard.apply(hop0(1, seqs[0]), &mut out);
+        assert_eq!(shard.table.resolution(seqs[0]), Some(false));
+        assert_eq!(out[0].reject_hop, Some(0));
+        assert_eq!(link_counter(shard, 1, "aborts"), 1);
+        assert_eq!(link_counter(shard, 1, "commits"), 0);
+        // Four flows at rate 1 on capacity 14 leave room: a commit.
+        shard.apply(
+            RoutedShardEvent::Measure {
+                link: LinkId(1),
+                t: 0.0,
+                rates: vec![1.0; 4].into_boxed_slice(),
+            },
+            &mut out,
+        );
+        shard.apply(hop0(1, seqs[1]), &mut out);
+        assert_eq!(shard.table.resolution(seqs[1]), Some(true));
+        assert_eq!((out[1].reject_hop, out[1].hops[0].occupancy), (None, 5));
+        assert_eq!(link_counter(shard, 1, "commits"), 1);
+        assert_eq!(link_counter(shard, 1, "aborts"), 1);
+        assert_eq!(link_counter(shard, 1, "reserves"), 2);
+        assert_eq!(shard.table.resolution(seqs[2]), None);
+    }
+
+    #[test]
+    fn dense_slots_export_only_owned_links() {
+        let w = workload(Topology::single_hop(8, 10.0), 0.0);
+        let cfg = RoutedPlaneConfig {
+            shards: 4,
+            metrics: MetricsMode::Enabled,
+            ..RoutedPlaneConfig::default()
+        };
+        let make = certainty_equivalent_factory(1e-2, 2.0);
+        let mut plane = RoutedPlane::for_workload(&cfg, &w, make).unwrap();
+        let shards = plane.shards_mut();
+        let mut out = Vec::new();
+        for (link, ev) in w.canonical_events() {
+            let event = to_routed_event(w.topology(), link, ev, false);
+            shards[crate::shard_of(link, 4)].apply(event, &mut out);
+        }
+        assert_eq!(out.len(), w.total_requests());
+        for i in 0..4 {
+            let snap = routed_plane_snapshot(&shards[i..=i]);
+            let mut listed: Vec<u32> = snap
+                .names()
+                .filter_map(|n| n.strip_prefix("net.link")?.split('.').next()?.parse().ok())
+                .collect();
+            listed.dedup();
+            let owned: Vec<u32> = (0..8)
+                .filter(|&j| crate::shard_of(LinkId(j), 4) == i)
+                .collect();
+            assert_eq!(listed, owned, "shard {i}");
+        }
     }
 
     #[test]

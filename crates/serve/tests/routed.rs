@@ -9,7 +9,8 @@
 //! the worker-invariance contract in `crates/sim/tests/session.rs`).
 //! And on single-hop topologies the plane must reproduce pinned digests
 //! of the per-link decision bytes recorded from the single-link plane
-//! it replaced, without re-blessing anything.
+//! it replaced, and on the parking lot pinned per-route digests of its
+//! mixed one-hop/multi-hop decisions, without re-blessing anything.
 
 use mbac_metrics::MetricValue;
 use mbac_num::KernelDispatch;
@@ -305,6 +306,81 @@ fn single_link_routed_decisions_reproduce_legacy_bytes() {
                          {links} links, {shards} shards"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// FNV-1a digests of the per-route decision bytes of the serial
+/// reference on a mixed one-hop/multi-hop load, recorded before one-hop
+/// requests were resolved in place: `(seed, digest of route r's bytes)`.
+/// Workload: parking-lot(3) at capacity 60, 25 flows per route (RCBR
+/// `paper_default(1.0)`), 400 ticks of 0.1, 4 requests per tick,
+/// holding 10; controller `p_ce` = 1e-2, `T_m` = 5. Route 0 crosses all
+/// three links; routes 1–3 are one hop each, and every route sees both
+/// admits and rejects.
+const PARKING_LOT_ROUTE_DIGESTS: [(u64, [u64; 4]); 2] = [
+    (
+        7,
+        [
+            0x5ad88884a84a1da4,
+            0x41d5b11e5c3e4e8d,
+            0xf76a48e6fe8e196d,
+            0x2dfa195e37f9a702,
+        ],
+    ),
+    (
+        42,
+        [
+            0x3e7076b1c2687987,
+            0x92eb56925b9ba3bf,
+            0xc595d8d955ebab5d,
+            0x9e065d36aa7bf475,
+        ],
+    ),
+];
+
+/// One-hop and multi-hop requests share links on the parking lot, so
+/// the in-place one-hop resolution and the two-phase protocol meet
+/// there. Their joint decision bytes must equal the pinned digests,
+/// serially and at 2 and 4 shards.
+#[test]
+fn mixed_topology_routed_decisions_reproduce_pinned_bytes() {
+    let m = RcbrModel::new(RcbrConfig::paper_default(1.0));
+    for (seed, digests) in PARKING_LOT_ROUTE_DIGESTS {
+        let load = RoutedLoad {
+            model: &m,
+            cfg: RoutedLoadConfig {
+                topology: Arc::new(Topology::parking_lot(3, 60.0)),
+                flows_per_route: 25,
+                ticks: 400,
+                tick: 0.1,
+                requests_per_tick: 4,
+                mean_holding: 10.0,
+                noise_sd: 0.0,
+                seed,
+            },
+        };
+        let w = SessionBuilder::new().run(&load).unwrap();
+        let make = certainty_equivalent_factory(1e-2, 5.0);
+        for shards in [1, 2, 4] {
+            let out = if shards == 1 {
+                routed_replay_serial(&replay_cfg(1, 1, 64), Arc::clone(&make), &w)
+            } else {
+                routed_replay_threaded(&replay_cfg(shards, 2, 32), Arc::clone(&make), &w)
+            }
+            .unwrap();
+            for (route, &digest) in digests.iter().enumerate() {
+                let d = &out.per_route[route];
+                assert!(
+                    d.iter().any(|d| d.admit) && d.iter().any(|d| !d.admit),
+                    "route {route} must see both outcomes: seed={seed}"
+                );
+                assert_eq!(
+                    fnv1a(&out.encode_route(route)),
+                    digest,
+                    "route {route} diverged: seed={seed}, {shards} shards"
+                );
             }
         }
     }
