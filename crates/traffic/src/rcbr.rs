@@ -17,9 +17,8 @@
 
 use crate::batch::{BatchKey, FlowBatch};
 use crate::process::{RateProcess, SourceModel};
-use mbac_num::rng::{
-    exponential, normal, normal_truncated_below, standard_exponential, standard_normal,
-};
+use mbac_num::rng::{exponential, normal, normal_truncated_below, ExpSampler, NormalSampler};
+use mbac_num::RateMoments;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -107,113 +106,23 @@ impl SourceModel for RcbrModel {
     }
 }
 
-/// Struct-of-arrays batch of RCBR flows: the negotiated rates double as
-/// the cached rate vector (the rate *is* the state), and residual
-/// interval lives sit in a parallel array, so a tick that renegotiates
-/// nothing touches exactly two contiguous arrays with no virtual calls.
-pub struct RcbrBatch {
-    cfg: RcbrConfig,
+/// Flows per tile of [`Renewals::sweep`]: one bit each in a `u64` due mask.
+const TILE: usize = 64;
+
+/// Struct-of-arrays state of renewal flows (a rate held for an
+/// exponential interval), shared by the RCBR batches: the negotiated
+/// rates (the rate *is* the state) and, in a parallel array, the
+/// residual life of each flow's interval.
+#[derive(Default)]
+struct Renewals {
     /// Negotiated rate per flow — also the cached rate vector.
     rates: Vec<f64>,
     /// Residual life of the current interval per flow.
     remaining: Vec<f64>,
-    /// Scratch: slots whose interval expired this tick.
-    due: Vec<u32>,
 }
 
-impl RcbrBatch {
-    /// Creates an empty batch for flows of the given configuration.
-    pub fn new(cfg: RcbrConfig) -> Self {
-        RcbrBatch {
-            cfg,
-            rates: Vec::new(),
-            remaining: Vec::new(),
-            due: Vec::new(),
-        }
-    }
-
-    fn draw_rate(&self, rng: &mut dyn RngCore) -> f64 {
-        // Same draw as `RcbrSource::draw_rate`.
-        if self.cfg.truncate_at_zero {
-            normal_truncated_below(rng, self.cfg.mean, self.cfg.std_dev.max(1e-300), 0.0)
-        } else {
-            normal(rng, self.cfg.mean, self.cfg.std_dev)
-        }
-    }
-}
-
-impl FlowBatch for RcbrBatch {
-    fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        assert!(dt >= 0.0, "cannot advance backwards");
-        let RcbrConfig {
-            mean,
-            std_dev,
-            t_c,
-            truncate_at_zero,
-        } = self.cfg;
-        // The boxed source floors σ only on the truncated path.
-        let sd = if truncate_at_zero {
-            std_dev.max(1e-300)
-        } else {
-            std_dev
-        };
-        // Pass 1: age every interval (a branchless subtract the
-        // compiler vectorizes), then collect the flows whose interval
-        // expired. The boxed source's `left >= remaining` is
-        // `remaining - dt <= 0` here — exactly, since a nonzero
-        // difference of nearby doubles never rounds to zero (Sterbenz)
-        // and IEEE subtraction is antisymmetric. The conditional-append
-        // idiom keeps the scan free of data-dependent branches, which
-        // would otherwise mispredict on ~20% of flows per tick.
-        let n = self.remaining.len();
-        self.due.resize(n, 0);
-        for rem in self.remaining.iter_mut() {
-            *rem -= dt;
-        }
-        let mut count = 0usize;
-        for (i, rem) in self.remaining.iter().enumerate() {
-            self.due[count] = i as u32;
-            count += (*rem <= 0.0) as usize;
-        }
-        // Pass 2: renegotiate the due flows, in flow order, consuming
-        // the RNG exactly as `RcbrSource::advance` does (rate draw then
-        // interval draw per renegotiation). The draws are inlined
-        // rather than routed through `normal_truncated_below` /
-        // `exponential` so their per-call argument checks stay out of
-        // the loop; the draw sequence is identical.
-        for &i in &self.due[..count] {
-            let i = i as usize;
-            let mut left = -self.remaining[i]; // dt minus the old residual
-            loop {
-                self.rates[i] = loop {
-                    let x = mean + sd * standard_normal(rng);
-                    if !truncate_at_zero || x >= 0.0 {
-                        break x;
-                    }
-                };
-                let interval = t_c * standard_exponential(rng);
-                if left >= interval {
-                    left -= interval;
-                } else {
-                    self.remaining[i] = interval - left;
-                    break;
-                }
-            }
-        }
-    }
-
-    fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    fn spawn_one(&mut self, rng: &mut StdRng) {
-        // Same draws as `RcbrSource::reset`.
-        let rate = self.draw_rate(rng);
-        let remaining = exponential(rng, self.cfg.t_c);
+impl Renewals {
+    fn push(&mut self, rate: f64, remaining: f64) {
         self.rates.push(rate);
         self.remaining.push(remaining);
     }
@@ -221,6 +130,134 @@ impl FlowBatch for RcbrBatch {
     fn swap_remove(&mut self, i: usize) {
         self.rates.swap_remove(i);
         self.remaining.swap_remove(i);
+    }
+
+    /// Advances every flow by `dt` in one sweep of 64-flow tiles: age
+    /// each interval and build the tile's due mask, renegotiate the due
+    /// flows in slot order, then hand the tile's rates to `fold` while
+    /// they are in L1. Each renegotiation draws the rate, then an
+    /// interval of mean `t_c`, exactly as the boxed `advance` loop does,
+    /// so every rate and the RNG stream are bit-identical to it: its
+    /// `left >= remaining` is `remaining − dt <= 0` here and its
+    /// `dt − remaining` is `−(remaining − dt)`, since a nonzero
+    /// difference of doubles never rounds to zero (gradual underflow)
+    /// and IEEE subtraction is antisymmetric. The generator lives in a
+    /// local for the sweep and is written back at the end.
+    #[inline(always)]
+    fn sweep(
+        &mut self,
+        dt: f64,
+        t_c: f64,
+        rng: &mut StdRng,
+        mut draw_rate: impl FnMut(&mut StdRng) -> f64,
+        mut fold: impl FnMut(&[f64]),
+    ) {
+        assert!(dt >= 0.0, "cannot advance backwards");
+        let exp = ExpSampler::get();
+        let mut g = rng.clone();
+        let tiles = self
+            .rates
+            .chunks_mut(TILE)
+            .zip(self.remaining.chunks_mut(TILE));
+        for (rates, remaining) in tiles {
+            let mut due = 0u64;
+            for (j, rem) in remaining.iter_mut().enumerate() {
+                *rem -= dt;
+                due |= u64::from(*rem <= 0.0) << j;
+            }
+            while due != 0 {
+                let j = due.trailing_zeros() as usize;
+                due &= due - 1;
+                let mut left = -remaining[j]; // dt minus the old residual
+                loop {
+                    rates[j] = draw_rate(&mut g);
+                    let interval = t_c * exp.sample(&mut g);
+                    if left >= interval {
+                        left -= interval;
+                    } else {
+                        remaining[j] = interval - left;
+                        break;
+                    }
+                }
+            }
+            fold(rates);
+        }
+        *rng = g;
+    }
+}
+
+/// Struct-of-arrays batch of RCBR flows: the negotiated rates double as
+/// the cached rate vector, so a tick that renegotiates nothing touches
+/// exactly two contiguous arrays with no virtual calls.
+pub struct RcbrBatch {
+    cfg: RcbrConfig,
+    flows: Renewals,
+}
+
+impl RcbrBatch {
+    /// Creates an empty batch for flows of the given configuration.
+    pub fn new(cfg: RcbrConfig) -> Self {
+        RcbrBatch {
+            cfg,
+            flows: Renewals::default(),
+        }
+    }
+
+    /// `RcbrSource::draw_rate` on the same draw sequence, with the
+    /// sampler resolved once and `normal_truncated_below`'s per-call
+    /// argument checks left out (`RcbrModel::new` already made them).
+    fn rate_draw(&self) -> impl Fn(&mut StdRng) -> f64 {
+        let RcbrConfig {
+            mean,
+            std_dev,
+            truncate_at_zero,
+            ..
+        } = self.cfg;
+        // The boxed source floors σ only on the truncated path.
+        let sd = if truncate_at_zero {
+            std_dev.max(1e-300)
+        } else {
+            std_dev
+        };
+        let normal = NormalSampler::get();
+        move |g| loop {
+            let x = mean + sd * normal.sample(g);
+            if !truncate_at_zero || x >= 0.0 {
+                break x;
+            }
+        }
+    }
+}
+
+impl FlowBatch for RcbrBatch {
+    fn len(&self) -> usize {
+        self.flows.rates.len()
+    }
+
+    fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
+        let draw = self.rate_draw();
+        self.flows.sweep(dt, self.cfg.t_c, rng, draw, |_| {});
+    }
+
+    fn advance_and_measure(&mut self, dt: f64, rng: &mut StdRng, mom: &mut RateMoments) {
+        let draw = self.rate_draw();
+        let fold = |t: &[f64]| mom.add_slice(t);
+        self.flows.sweep(dt, self.cfg.t_c, rng, draw, fold);
+    }
+
+    fn rates(&self) -> &[f64] {
+        &self.flows.rates
+    }
+
+    fn spawn_one(&mut self, rng: &mut StdRng) {
+        // Same draws as `RcbrSource::reset`.
+        let rate = self.rate_draw()(rng);
+        let remaining = exponential(rng, self.cfg.t_c);
+        self.flows.push(rate, remaining);
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        self.flows.swap_remove(i);
     }
 }
 
@@ -348,8 +385,7 @@ impl SourceModel for GeneralRcbrModel {
         Some(Box::new(GeneralRcbrBatch {
             marginal: self.marginal,
             t_c: self.t_c,
-            rates: Vec::new(),
-            remaining: Vec::new(),
+            flows: Renewals::default(),
         }))
     }
 }
@@ -359,43 +395,38 @@ impl SourceModel for GeneralRcbrModel {
 pub struct GeneralRcbrBatch {
     marginal: Marginal,
     t_c: f64,
-    rates: Vec<f64>,
-    remaining: Vec<f64>,
+    flows: Renewals,
 }
 
 impl FlowBatch for GeneralRcbrBatch {
     fn len(&self) -> usize {
-        self.rates.len()
+        self.flows.rates.len()
     }
 
     fn advance_all(&mut self, dt: f64, rng: &mut StdRng) {
-        assert!(dt >= 0.0);
-        for i in 0..self.rates.len() {
-            let mut left = dt;
-            while left >= self.remaining[i] {
-                left -= self.remaining[i];
-                self.rates[i] = self.marginal.sample(rng);
-                self.remaining[i] = exponential(rng, self.t_c);
-            }
-            self.remaining[i] -= left;
-        }
+        let m = self.marginal;
+        self.flows.sweep(dt, self.t_c, rng, |g| m.sample(g), |_| {});
+    }
+
+    fn advance_and_measure(&mut self, dt: f64, rng: &mut StdRng, mom: &mut RateMoments) {
+        let m = self.marginal;
+        let fold = |t: &[f64]| mom.add_slice(t);
+        self.flows.sweep(dt, self.t_c, rng, |g| m.sample(g), fold);
     }
 
     fn rates(&self) -> &[f64] {
-        &self.rates
+        &self.flows.rates
     }
 
     fn spawn_one(&mut self, rng: &mut StdRng) {
         // Same draws as `GeneralRcbrModel::spawn`.
         let rate = self.marginal.sample(rng);
         let remaining = exponential(rng, self.t_c);
-        self.rates.push(rate);
-        self.remaining.push(remaining);
+        self.flows.push(rate, remaining);
     }
 
     fn swap_remove(&mut self, i: usize) {
-        self.rates.swap_remove(i);
-        self.remaining.swap_remove(i);
+        self.flows.swap_remove(i);
     }
 }
 

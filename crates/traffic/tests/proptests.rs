@@ -167,3 +167,95 @@ proptest! {
         prop_assert_eq!(run(KernelDispatch::Wide), run(KernelDispatch::Scalar));
     }
 }
+
+/// Every batched RCBR kernel under test, with its boxed counterpart:
+/// truncation on and off, `σ = 0` on both paths, and generalized
+/// marginals including one (`sd = 0` Gaussian) whose rate draw consumes
+/// no randoms.
+fn rcbr_models() -> Vec<Box<dyn SourceModel>> {
+    let rcbr = |std_dev, truncate_at_zero| {
+        Box::new(RcbrModel::new(RcbrConfig {
+            mean: 1.0,
+            std_dev,
+            t_c: 1.0,
+            truncate_at_zero,
+        })) as Box<dyn SourceModel>
+    };
+    let general = |marginal| Box::new(GeneralRcbrModel::new(marginal, 1.0)) as Box<dyn SourceModel>;
+    vec![
+        // σ/μ = 0.6 so the truncated path rejects ~5% of its draws.
+        rcbr(0.6, true),
+        rcbr(0.6, false),
+        rcbr(0.0, true),
+        rcbr(0.0, false),
+        general(Marginal::two_point_with_moments(1.0, 0.3)),
+        general(Marginal::lognormal_with_moments(1.0, 0.3)),
+        general(Marginal::Gaussian { mean: 1.0, sd: 0.0 }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The tiled RCBR sweeps equal the boxed sources bit for bit across
+    /// 64-flow tile boundaries. Flow counts cross 64, 128 and 192 and
+    /// include 0; ticks include 0 and 3 `T_c` (several renegotiations
+    /// per flow in one tick); a mid-run swap-remove and spawn reorder
+    /// the slots. At every step the batch driven by `advance_all`, the
+    /// twin driven by `advance_and_measure`, and the boxed flows hold
+    /// the same rates, the fused moments equal `add_slice` of those
+    /// rates, and at the end all three generators are in one state.
+    #[test]
+    fn rcbr_tiled_sweep_matches_boxed_sources(
+        seed in 0u64..10_000,
+        n in 0usize..300,
+        ticks in collection::vec(0usize..4, 1..12),
+        cut in 0usize..12,
+        victim in 0usize..300,
+    ) {
+        const DTS: [f64; 4] = [0.0, 0.05, 0.25, 3.0];
+        for model in rcbr_models() {
+            let mut rng_boxed = StdRng::seed_from_u64(seed);
+            let mut rng_all = StdRng::seed_from_u64(seed);
+            let mut rng_fused = StdRng::seed_from_u64(seed);
+            let mut boxed: Vec<Box<dyn RateProcess>> =
+                (0..n).map(|_| model.spawn(&mut rng_boxed)).collect();
+            let mut all = model.new_batch().expect("batched kernel");
+            let mut fused = model.new_batch().expect("batched kernel");
+            for _ in 0..n {
+                all.spawn_one(&mut rng_all);
+                fused.spawn_one(&mut rng_fused);
+            }
+            for (step, &t) in ticks.iter().enumerate() {
+                if step == cut.min(ticks.len() - 1) {
+                    if !boxed.is_empty() {
+                        let i = victim % boxed.len();
+                        boxed.swap_remove(i);
+                        all.swap_remove(i);
+                        fused.swap_remove(i);
+                    }
+                    boxed.push(model.spawn(&mut rng_boxed));
+                    all.spawn_one(&mut rng_all);
+                    fused.spawn_one(&mut rng_fused);
+                }
+                let dt = DTS[t];
+                for p in boxed.iter_mut() {
+                    p.advance(dt, &mut rng_boxed);
+                }
+                all.advance_all(dt, &mut rng_all);
+                let mut want = RateMoments::new(model.mean());
+                want.add_slice(all.rates());
+                let mut got = RateMoments::new(model.mean());
+                fused.advance_and_measure(dt, &mut rng_fused, &mut got);
+                let boxed_bits: Vec<u64> = boxed.iter().map(|p| p.rate().to_bits()).collect();
+                let all_bits: Vec<u64> = all.rates().iter().map(|r| r.to_bits()).collect();
+                let fused_bits: Vec<u64> = fused.rates().iter().map(|r| r.to_bits()).collect();
+                prop_assert_eq!(&boxed_bits, &all_bits, "advance_all diverged at step {}", step);
+                prop_assert_eq!(&boxed_bits, &fused_bits, "advance_and_measure diverged at step {}", step);
+                prop_assert_eq!(want, got, "fused moments diverged at step {}", step);
+            }
+            prop_assert_eq!(&rng_boxed, &rng_all);
+            prop_assert_eq!(&rng_boxed, &rng_fused);
+        }
+    }
+}
